@@ -1,23 +1,56 @@
 // ThreadsBackend: real parallelism behind the runtime::Backend seam.
 //
-// One worker thread per "machine", each draining its own MPSC task queue
-// (any thread posts, only the owner executes). Every Backend operation
-// reduces to Post(target, fn):
+// One worker thread per "machine"; any thread may post to any machine,
+// only the owner executes. Every Backend operation reduces to
+// Post(target, fn):
 //
 //   * ExecCpu runs `done` on the target machine's thread — the callback IS
 //     the real work; the modelled cpu_seconds charge is ignored and the
 //     callback's measured wall time is metered into cpu_seconds instead.
-//   * Send posts `done` to the destination. Tasks posted from one thread
-//     land in the destination deque in program order, so the per-(src,dst)
-//     FIFO guarantee (chunks before their end-of-bag marker) holds for
-//     free. Byte/message tallies use the same local-vs-network split as
-//     the simulated cluster (src == dst → local_bytes).
+//   * Send posts `done` to the destination. Byte/message tallies use the
+//     same local-vs-network split as the simulated cluster (src == dst →
+//     local_bytes).
 //   * DiskIo/DiskRead post to the target machine; there is no modelled
 //     disk occupancy — the data already lives in the in-process
 //     SimFileSystem — but disk_bytes accounting is kept.
 //   * ScheduleAfter posts to machine 0 without the modelled delay (it is
 //     only used for the pre-work job launch; Mitos engines run with
 //     decision_overhead == 0 — see the Backend contract).
+//
+// Task queues. Each machine has two FIFO deques:
+//
+//   * the shared queue, guarded by the machine's mutex, which every other
+//     thread (other workers, the driver) pushes onto;
+//   * the owner-local queue, touched only by the machine's own worker.
+//     A post made BY machine m's worker TO machine m (self-scheduled
+//     ExecCpu, src == dst sends, PathAuthority::Broadcast's decision
+//     self-send) appends here with no lock and no notify.
+//
+// The worker runs its local queue to empty, then refills it by swapping
+// in the whole shared queue under one lock acquisition. Per-(src,dst)
+// FIFO holds because every post a given thread makes to one destination
+// goes through the same one of the two queues, each FIFO, and a pair's
+// sends all come from one thread: the source's worker (the launch and
+// every callback run there), except driver posts made at quiescence —
+// the only cross-thread posts with src == dst — when no earlier task is
+// still queued anywhere.
+//
+// Wake-ups: spin, then park. A worker with nothing to run first spins for
+// a bounded budget (tens of µs, kSpinBudget in the .cc) on the machine's
+// atomic pending count, pausing between probes. A cross-machine hop then
+// costs the receiver no wake-up latency and the producer no syscall. When
+// the budget runs out the worker parks on the condvar, setting `sleeping`
+// under the queue mutex first. A producer pushes under the same mutex,
+// reads-and-clears `sleeping` there, and calls notify_one after unlocking
+// only if it was set. No wake-up is lost: either the push's critical
+// section comes first and the worker's under-lock emptiness check sees
+// the task, or the worker set `sleeping` and atomically released the
+// mutex into the wait before the push, so the producer sees the flag and
+// its notify finds the worker waiting. A worker that is awake costs its
+// producers nothing beyond the locked push. Spinning is on only when
+// num_machines <= std::thread::hardware_concurrency(): oversubscribed,
+// a spinning worker would steal the core the producer it waits for
+// needs, so workers park at once.
 //
 // Quiescence (Run / ScheduleWhenIdle): a single atomic counts outstanding
 // tasks, incremented BEFORE a task is enqueued and decremented AFTER it
@@ -35,6 +68,10 @@
 // PathAuthority::Broadcast self-sends the local decision delivery here
 // instead of advancing the local manager inline).
 //
+// ClusterMetrics tallies live in per-machine relaxed atomics (cpu time on
+// the executing machine, bytes and messages on the sending one) and
+// MetricsSnapshot() sums them, so no task takes a process-wide lock.
+//
 // Time is wall-clock seconds since construction; busy_until() == now()
 // (no background timers exist here). Fault plans are rejected upstream
 // (PathAuthority checks simulator() != nullptr), and simulator()/cluster()
@@ -51,8 +88,11 @@
 // during the run and flushes per-machine queue-depth peaks and task counts
 // as "threads_*" gauges at FlushMetrics(). All timestamping is gated on an
 // instrumentation flag computed when the observers attach, so the
-// uninstrumented hot path stays a queue push. None of this touches the DES:
-// virtual-time traces remain byte-identical with this code compiled in.
+// uninstrumented hot path stays a queue push. Instrumentation only adds
+// timestamps on top of the same queues and wake-up protocol, so a traced
+// run measures the code an untraced run executes. None of this touches the
+// DES: virtual-time traces remain byte-identical with this code compiled
+// in.
 #ifndef MITOS_RUNTIME_THREADS_BACKEND_H_
 #define MITOS_RUNTIME_THREADS_BACKEND_H_
 
@@ -131,21 +171,49 @@ class ThreadsBackend : public Backend {
   };
 
   struct Machine {
+    // Shared side: any thread, under mu.
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Task> queue;
+    bool sleeping = false;  // the owner is parked (or about to be) on cv
     bool stop = false;
-    // Instrumentation tallies, guarded by mu (writers already hold it).
+    // Instrumentation tallies of shared-queue posts.
     size_t peak_depth = 0;
     int64_t tasks_posted = 0;
+    // queue.size(), stored under mu; the owner spins on it lock-free.
+    std::atomic<size_t> pending{0};
+
+    // Owner side, on its own cache line: touched only by the worker
+    // (and by the driver at quiescence, ordered through done_mu_).
+    alignas(64) std::deque<Task> local;
+    size_t local_peak_depth = 0;
+    int64_t local_tasks_posted = 0;
+
+    // ClusterMetrics tallies, summed by MetricsSnapshot(). cpu_seconds is
+    // written by this machine's worker, the others by the thread posting
+    // from this machine (almost always the same worker), so the relaxed
+    // increments are uncontended yet race-free from any thread.
+    alignas(64) std::atomic<double> cpu_seconds{0};
+    std::atomic<int64_t> messages{0};
+    std::atomic<int64_t> network_bytes{0};
+    std::atomic<int64_t> local_bytes{0};
+    std::atomic<int64_t> disk_bytes{0};
+
     std::thread thread;
   };
 
-  // Enqueues `fn` on `machine`'s worker. Increments outstanding_ before
-  // the push so the driver can never observe a false quiescence between
-  // enqueue and execution.
+  // Checked index into machines_.
+  Machine* MachineAt(int machine) const;
+  // Enqueues `fn` on `machine`'s worker: onto its local queue when called
+  // from that worker, else onto its shared queue (waking it only if it is
+  // parked). Increments outstanding_ before the push so the driver can
+  // never observe a false quiescence between enqueue and execution.
   void Post(int machine, std::function<void()> fn);
   void WorkerLoop(int machine, Machine* m);
+  // Called by m's worker with its local queue empty: spins (when allowed),
+  // then parks until the shared queue is non-empty and swaps it into the
+  // local queue. Returns false once stop is set and both queues are empty.
+  bool Refill(Machine* m);
   // Emits the driver's quiescence-barrier wait [t_start, t_end] as a trace
   // span and a histogram observation.
   void RecordQuiesceWait(double t_start, double t_end);
@@ -153,6 +221,8 @@ class ThreadsBackend : public Backend {
   sim::ClusterConfig config_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Machine>> machines_;
+  // Workers spin before parking; false when oversubscribed.
+  const bool spin_;
 
   // Outstanding tasks: posted but not yet finished executing.
   std::atomic<int64_t> outstanding_{0};
@@ -160,9 +230,6 @@ class ThreadsBackend : public Backend {
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
   std::deque<std::function<void()>> idle_callbacks_;
-
-  mutable std::mutex metrics_mu_;
-  sim::ClusterMetrics metrics_;
 
   obs::TraceRecorder* trace_ = nullptr;
   obs::live::EventLog* event_log_ = nullptr;

@@ -1,0 +1,86 @@
+// DES-vs-threads comparison helpers shared by the differential suite
+// (backend_diff_test.cc) and the ThreadsBackend protocol tests: run one
+// program on a backend, collect everything the two backends must agree on,
+// and compare.
+#ifndef MITOS_TESTS_RUNTIME_BACKEND_DIFF_H_
+#define MITOS_TESTS_RUNTIME_BACKEND_DIFF_H_
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+
+#include "api/engine.h"
+#include "common/logging.h"
+
+namespace mitos::api {
+
+// Everything the two backends must agree on, bit for bit.
+struct Outcome {
+  int decisions = 0;
+  int64_t bags = 0;
+  int64_t elements = 0;
+  int attempts = 0;
+  int64_t template_hits = 0;
+  int64_t template_misses = 0;
+  int64_t template_invalidations = 0;
+  std::map<std::string, DatumVector> files;
+};
+
+inline Outcome RunOn(BackendKind backend, EngineKind engine,
+                     const lang::Program& program,
+                     const sim::SimFileSystem& inputs, int machines,
+                     bool step_templates = true) {
+  sim::SimFileSystem fs = inputs;  // fresh, identically seeded filesystem
+  RunConfig config{.machines = machines};
+  config.backend = backend;
+  config.step_templates = step_templates;
+  auto result = api::Run(engine, program, &fs, config);
+  MITOS_CHECK(result.ok()) << result.status().ToString();
+  Outcome outcome;
+  outcome.decisions = result->stats.decisions;
+  outcome.bags = result->stats.bags;
+  outcome.elements = result->stats.elements;
+  outcome.attempts = result->stats.attempts;
+  outcome.template_hits = result->stats.template_hits;
+  outcome.template_misses = result->stats.template_misses;
+  outcome.template_invalidations = result->stats.template_invalidations;
+  for (const std::string& name : fs.ListFiles()) {
+    outcome.files[name] = *fs.Read(name);
+  }
+  return outcome;
+}
+
+// Exact equality — including element ORDER inside every output file, which
+// AppendOutput canonicalizes (partitions ordered by instance id) precisely
+// so this comparison is meaningful under real concurrency.
+inline void ExpectEquivalent(const Outcome& des, const Outcome& threads) {
+  EXPECT_EQ(des.decisions, threads.decisions);
+  EXPECT_EQ(des.bags, threads.bags);
+  EXPECT_EQ(des.elements, threads.elements);
+  EXPECT_EQ(des.attempts, threads.attempts);
+  EXPECT_EQ(des.template_hits, threads.template_hits);
+  EXPECT_EQ(des.template_misses, threads.template_misses);
+  EXPECT_EQ(des.template_invalidations, threads.template_invalidations);
+  ASSERT_EQ(des.files.size(), threads.files.size());
+  for (const auto& [name, data] : des.files) {
+    auto it = threads.files.find(name);
+    ASSERT_TRUE(it != threads.files.end()) << name;
+    EXPECT_EQ(data, it->second) << name;
+  }
+}
+
+inline void ExpectBackendsAgree(EngineKind engine,
+                                const lang::Program& program,
+                                const sim::SimFileSystem& inputs,
+                                int machines, bool step_templates = true) {
+  ExpectEquivalent(
+      RunOn(BackendKind::kDes, engine, program, inputs, machines,
+            step_templates),
+      RunOn(BackendKind::kThreads, engine, program, inputs, machines,
+            step_templates));
+}
+
+}  // namespace mitos::api
+
+#endif  // MITOS_TESTS_RUNTIME_BACKEND_DIFF_H_

@@ -11,10 +11,7 @@
 // boundaries than the simulated schedule — same data, different framing).
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
-
-#include "api/engine.h"
+#include "backend_diff.h"
 #include "lang/builder.h"
 #include "sim/fault.h"
 #include "workloads/generators.h"
@@ -22,70 +19,6 @@
 
 namespace mitos::api {
 namespace {
-
-// Everything the two backends must agree on, bit for bit.
-struct Outcome {
-  int decisions = 0;
-  int64_t bags = 0;
-  int64_t elements = 0;
-  int attempts = 0;
-  int64_t template_hits = 0;
-  int64_t template_misses = 0;
-  int64_t template_invalidations = 0;
-  std::map<std::string, DatumVector> files;
-};
-
-Outcome RunOn(BackendKind backend, EngineKind engine,
-              const lang::Program& program, const sim::SimFileSystem& inputs,
-              int machines, bool step_templates = true) {
-  sim::SimFileSystem fs = inputs;  // fresh, identically seeded filesystem
-  RunConfig config{.machines = machines};
-  config.backend = backend;
-  config.step_templates = step_templates;
-  auto result = api::Run(engine, program, &fs, config);
-  MITOS_CHECK(result.ok()) << result.status().ToString();
-  Outcome outcome;
-  outcome.decisions = result->stats.decisions;
-  outcome.bags = result->stats.bags;
-  outcome.elements = result->stats.elements;
-  outcome.attempts = result->stats.attempts;
-  outcome.template_hits = result->stats.template_hits;
-  outcome.template_misses = result->stats.template_misses;
-  outcome.template_invalidations = result->stats.template_invalidations;
-  for (const std::string& name : fs.ListFiles()) {
-    outcome.files[name] = *fs.Read(name);
-  }
-  return outcome;
-}
-
-// Exact equality — including element ORDER inside every output file, which
-// AppendOutput canonicalizes (partitions ordered by instance id) precisely
-// so this comparison is meaningful under real concurrency.
-void ExpectEquivalent(const Outcome& des, const Outcome& threads) {
-  EXPECT_EQ(des.decisions, threads.decisions);
-  EXPECT_EQ(des.bags, threads.bags);
-  EXPECT_EQ(des.elements, threads.elements);
-  EXPECT_EQ(des.attempts, threads.attempts);
-  EXPECT_EQ(des.template_hits, threads.template_hits);
-  EXPECT_EQ(des.template_misses, threads.template_misses);
-  EXPECT_EQ(des.template_invalidations, threads.template_invalidations);
-  ASSERT_EQ(des.files.size(), threads.files.size());
-  for (const auto& [name, data] : des.files) {
-    auto it = threads.files.find(name);
-    ASSERT_TRUE(it != threads.files.end()) << name;
-    EXPECT_EQ(data, it->second) << name;
-  }
-}
-
-void ExpectBackendsAgree(EngineKind engine, const lang::Program& program,
-                         const sim::SimFileSystem& inputs, int machines,
-                         bool step_templates = true) {
-  ExpectEquivalent(
-      RunOn(BackendKind::kDes, engine, program, inputs, machines,
-            step_templates),
-      RunOn(BackendKind::kThreads, engine, program, inputs, machines,
-            step_templates));
-}
 
 // --- hostile control flow (same shapes as the step-template suite) ---
 
