@@ -22,7 +22,38 @@ constexpr double kBookkeepingElements = 5.0;
 // from the cache, leaving only the validate-and-instantiate token.
 constexpr double kTemplatedBookkeepingElements = 1.0;
 
+// Bit `i` of a per-input mask; inputs past 64 never have it set (only a
+// join's build side, input 0, is ever hoisted).
+bool MaskBit(uint64_t mask, size_t i) { return i < 64 && (mask >> i & 1); }
+
 }  // namespace
+
+int BagOperatorHost::InputState::IndexOf(int len) const {
+  for (size_t b = 0; b < live; ++b) {
+    if (bags[b].len == len) return static_cast<int>(b);
+  }
+  return -1;
+}
+
+BagOperatorHost::InputBagEntry& BagOperatorHost::InputState::FindOrAdd(
+    int len) {
+  const int found = IndexOf(len);
+  if (found >= 0) return bags[static_cast<size_t>(found)];
+  if (live == bags.size()) bags.emplace_back();
+  InputBagEntry& entry = bags[live++];
+  entry.len = len;  // a spare comes back reset by Erase
+  return entry;
+}
+
+void BagOperatorHost::InputState::Erase(size_t index) {
+  InputBagEntry& entry = bags[index];
+  entry.chunks.clear();
+  entry.markers = 0;
+  entry.refs = 0;
+  entry.superseded = false;
+  entry.bytes = 0;
+  std::swap(entry, bags[--live]);
+}
 
 BagOperatorHost::BagOperatorHost(RuntimeContext* ctx,
                                  const dataflow::LogicalNode* node,
@@ -103,9 +134,10 @@ void BagOperatorHost::OnPathAppend(int pos, ir::BlockId block) {
   // Cached input bags from this producer block are superseded by the new
   // occurrence (no future output bag will choose them; Sec. 5.2.3).
   for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i].producer_block != block) continue;
-    for (auto& [len, entry] : inputs_[i].bags) {
-      if (len < pos + 1) entry.superseded = true;
+    InputState& input = inputs_[i];
+    if (input.producer_block != block) continue;
+    for (size_t b = 0; b < input.live; ++b) {
+      if (input.bags[b].len < pos + 1) input.bags[b].superseded = true;
     }
     MaybeEvict(i);
   }
@@ -116,7 +148,8 @@ void BagOperatorHost::OnPathAppend(int pos, ir::BlockId block) {
 void BagOperatorHost::OnPathComplete() {
   if (ctx_->failed()) return;
   // No further block can occur: pending conditional sends are dead.
-  for (PendingSend& ps : pending_sends_) {
+  for (size_t k = 0; k < live_sends_; ++k) {
+    PendingSend& ps = pending_sends_[k];
     if (ps.state == PendingSend::State::kPending) {
       ps.state = PendingSend::State::kDropped;
       for (const Chunk& chunk : ps.buffered) {
@@ -127,10 +160,7 @@ void BagOperatorHost::OnPathComplete() {
   }
   // Entries for unfinished bags stay (as kDropped) so later emissions still
   // find their gating state and discard cleanly.
-  pending_sends_.remove_if([](const PendingSend& ps) {
-    return ps.bag_finished && (ps.done ||
-                               ps.state == PendingSend::State::kDropped);
-  });
+  CompactPendingSends();
 }
 
 int BagOperatorHost::ChooseInput(int i, int len) const {
@@ -145,12 +175,12 @@ int BagOperatorHost::ChooseInput(int i, int len) const {
   return cfm_->LongestPrefixEndingWith(input.producer_block, max_len);
 }
 
-std::vector<int> BagOperatorHost::ComputeInputLengths(int len) const {
-  std::vector<int> lens(inputs_.size());
+void BagOperatorHost::ComputeInputLengths(int len,
+                                          std::vector<int>* lens) const {
+  lens->resize(inputs_.size());
   for (size_t i = 0; i < inputs_.size(); ++i) {
-    lens[i] = ChooseInput(static_cast<int>(i), len);
+    (*lens)[i] = ChooseInput(static_cast<int>(i), len);
   }
-  return lens;
 }
 
 void BagOperatorHost::OnBlockOccurrence(int pos) {
@@ -174,10 +204,11 @@ void BagOperatorHost::OnBlockOccurrence(int pos) {
     // period-length path segments are block-for-block equal — so the
     // cached input classification predicts exactly what the backward
     // scans would compute.
-    std::vector<int> lens;
+    std::vector<int>& lens = lens_;
     step_template_.PredictLengths(&lens);
     if (ctx_->validate_templates()) {
-      const std::vector<int> truth = ComputeInputLengths(path_len);
+      std::vector<int> truth;
+      ComputeInputLengths(path_len, &truth);
       if (truth != lens) {
         std::string detail;
         for (size_t i = 0; i < lens.size(); ++i) {
@@ -207,37 +238,25 @@ void BagOperatorHost::OnBlockOccurrence(int pos) {
     return;
   }
   ctx_->CountTemplateMiss();
-  const std::vector<int> lens = ComputeInputLengths(path_len);
-  step_template_.Observe(pos, meta, lens);
-  CreateOutBagFromLengths(path_len, lens, /*templated=*/false);
+  ComputeInputLengths(path_len, &lens_);
+  step_template_.Observe(pos, meta, lens_);
+  CreateOutBagFromLengths(path_len, lens_, /*templated=*/false);
 }
 
 void BagOperatorHost::CreateOutBag(int path_len) {
-  CreateOutBagFromLengths(path_len, ComputeInputLengths(path_len),
-                          /*templated=*/false);
+  ComputeInputLengths(path_len, &lens_);
+  CreateOutBagFromLengths(path_len, lens_, /*templated=*/false);
 }
 
 void BagOperatorHost::CreateOutBagFromLengths(int path_len,
                                               const std::vector<int>& lens,
                                               bool templated) {
-  OutBag bag;
-  bag.path_len = path_len;
-  bag.templated = templated;
-  // Recovery replay: this bag's output survived a failed attempt, so the
-  // kernel re-runs over the real data (reconstructing state exactly) but
-  // charges no CPU and uses memory-speed I/O.
-  bag.replay = ctx_->IsReplayBag(node_->id, instance_, path_len);
-  size_t n = inputs_.size();
-  bag.chosen.assign(n, 0);
-  bag.fed.assign(n, 0);
-  bag.closed.assign(n, false);
-  bag.reuse.assign(n, false);
-
+  const size_t n = inputs_.size();
+  int best_input = -1;
+  int best_len = 0;
   if (node_->kind == NodeKind::kPhi) {
     // Select the single input whose matching prefix is longest — the
     // "latest assignment" in sequential semantics (Sec. 5.2.3).
-    int best_input = -1;
-    int best_len = 0;
     for (size_t i = 0; i < n; ++i) {
       if (lens[i] > best_len) {
         best_len = lens[i];
@@ -251,7 +270,6 @@ void BagOperatorHost::CreateOutBagFromLengths(int path_len,
                                   std::to_string(path_len)));
       return;
     }
-    bag.chosen[static_cast<size_t>(best_input)] = best_len;
   } else {
     for (size_t i = 0; i < n; ++i) {
       if (lens[i] == 0) {
@@ -260,13 +278,34 @@ void BagOperatorHost::CreateOutBagFromLengths(int path_len,
             " has no available bag (definition should dominate use)"));
         return;
       }
-      bag.chosen[i] = lens[i];
     }
+  }
+
+  // A recycled slot: reset every field, reusing the vectors' capacity.
+  OutBag& bag = out_bags_.PushSlot();
+  bag.path_len = path_len;
+  bag.templated = templated;
+  // Recovery replay: this bag's output survived a failed attempt, so the
+  // kernel re-runs over the real data (reconstructing state exactly) but
+  // charges no CPU and uses memory-speed I/O.
+  bag.replay = ctx_->IsReplayBag(node_->id, instance_, path_len);
+  bag.fed.assign(n, 0);
+  bag.closed.assign(n, 0);
+  bag.reuse = 0;
+  bag.opened = false;
+  bag.finish_enqueued = false;
+  bag.elements_in = 0;
+  bag.t_open = 0;
+  if (best_input >= 0) {
+    bag.chosen.assign(n, 0);
+    bag.chosen[static_cast<size_t>(best_input)] = best_len;
+  } else {
+    bag.chosen.assign(lens.begin(), lens.end());
   }
 
   for (size_t i = 0; i < n; ++i) {
     if (bag.chosen[i] > 0) {
-      ++inputs_[i].bags[bag.chosen[i]].refs;  // creates entry if absent
+      ++inputs_[i].FindOrAdd(bag.chosen[i]).refs;
     }
   }
 
@@ -275,13 +314,14 @@ void BagOperatorHost::CreateOutBagFromLengths(int path_len,
   // edge (Sec. 5.2.4).
   for (size_t e = 0; e < out_edges_.size(); ++e) {
     if (!out_edges_[e].conditional) continue;
-    PendingSend ps;
+    if (live_sends_ == pending_sends_.size()) pending_sends_.emplace_back();
+    PendingSend& ps = pending_sends_[live_sends_++];
     ps.bag_len = path_len;
     ps.edge_index = static_cast<int>(e);
-    pending_sends_.push_back(std::move(ps));
+    ps.state = PendingSend::State::kPending;
+    ps.bag_finished = false;
+    ps.done = false;  // buffered is empty: spares are cleared when dropped
   }
-
-  out_bags_.push_back(std::move(bag));
 }
 
 // ----- processing -----
@@ -295,35 +335,93 @@ int BagOperatorHost::TraceLane() {
   return trace_lane_;
 }
 
-void BagOperatorHost::EnqueueWork(double cpu_seconds, const char* phase,
-                                  std::function<void()> action) {
-  ctx_->ChargeOpCpu(node_->id, cpu_seconds);
-  work_.push_back(WorkItem{cpu_seconds, phase, std::move(action)});
+void BagOperatorHost::EnqueueWork(const WorkItem& item) {
+  ctx_->ChargeOpCpu(node_->id, item.cpu);
+  work_.push_back(item);
   Pump();
 }
 
 void BagOperatorHost::Pump() {
   if (busy_ || work_.empty() || ctx_->failed()) return;
   busy_ = true;
-  WorkItem item = std::move(work_.front());
+  running_ = work_.front();
   work_.pop_front();
-  auto action = std::make_shared<std::function<void()>>(
-      std::move(item.action));
   // Label the core span with "<op>.<phase>" when tracing (the string is
   // only built on the traced path).
   std::string label;
-  if (ctx_->trace() != nullptr && item.cpu > 0) {
-    label = node_->name + "." + item.phase;
+  if (ctx_->trace() != nullptr && running_.cpu > 0) {
+    static constexpr const char* kPhaseNames[] = {"open", "push", "close",
+                                                  "finish"};
+    label = node_->name + "." +
+            kPhaseNames[static_cast<size_t>(running_.phase)];
   }
   ctx_->backend()->ExecCpu(
-      machine_, item.cpu,
-      [this, action] {
-        busy_ = false;
-        ctx_->NoteProgress();
-        if (!ctx_->failed()) (*action)();
-        Pump();
-      },
-      std::move(label));
+      machine_, running_.cpu, [this] { OnWorkDone(); }, std::move(label));
+}
+
+void BagOperatorHost::OnWorkDone() {
+  // A copy: the item may enqueue work, and the Pump that follows can start
+  // the next item (overwriting running_) before this one returns.
+  const WorkItem item = running_;
+  busy_ = false;
+  ctx_->NoteProgress();
+  if (!ctx_->failed()) RunWork(item);
+  Pump();
+}
+
+void BagOperatorHost::RunWork(const WorkItem& item) {
+  const int bag_len = item.bag_len;
+  auto emit = [this, bag_len](Chunk&& out) {
+    EmitChunk(bag_len, std::move(out));
+  };
+  switch (item.phase) {
+    case Phase::kOpen:
+      if (kernel_) {
+        for (size_t i = 0; i < inputs_.size(); ++i) {
+          if (kernel_->CanReuseInput(static_cast<int>(i))) {
+            kernel_->SetReuseInput(static_cast<int>(i),
+                                   MaskBit(item.reuse, i));
+          }
+        }
+        kernel_->Open();
+      } else {
+        special_values_.clear();
+        special_data_.clear();
+      }
+      return;
+    case Phase::kPush: {
+      const InputState& input = inputs_[static_cast<size_t>(item.input)];
+      const int b = input.IndexOf(item.chosen_len);
+      if (b < 0) {
+        // The bag was evicted while a push into it was queued — an
+        // eviction-accounting bug; fail with context.
+        ctx_->Fail(Status::Internal(
+            "operator " + node_->name + "[" + std::to_string(instance_) +
+            "] input " + std::to_string(item.input) + " bag @" +
+            std::to_string(item.chosen_len) + " evicted with a push queued"));
+        return;
+      }
+      const Chunk& chunk =
+          input.bags[static_cast<size_t>(b)].chunks[item.chunk];
+      if (kernel_) {
+        kernel_->Push(item.input, chunk, emit);
+      } else {
+        SpecialPush(item.input, chunk);
+      }
+      return;
+    }
+    case Phase::kClose:
+      if (kernel_) kernel_->Close(item.input, emit);
+      return;
+    case Phase::kFinish:
+      if (kernel_) {
+        kernel_->Finish(emit);
+        FinalizeActiveBag();
+      } else {
+        SpecialFinish();
+      }
+      return;
+  }
 }
 
 void BagOperatorHost::TryFeed() {
@@ -337,11 +435,10 @@ void BagOperatorHost::TryFeed() {
     // Loop-invariant hoisting (Sec. 5.3): reuse state when the chosen bag
     // id on a reusable input is unchanged since the previous output bag.
     if (kernel_ && ctx_->hoisting() && has_prev_) {
-      for (size_t i = 0; i < inputs_.size(); ++i) {
-        bag.reuse[i] = kernel_->CanReuseInput(static_cast<int>(i)) &&
-                       bag.chosen[i] > 0 &&
-                       prev_chosen_[i] == bag.chosen[i];
-        if (bag.reuse[i]) {
+      for (size_t i = 0; i < inputs_.size() && i < 64; ++i) {
+        if (kernel_->CanReuseInput(static_cast<int>(i)) &&
+            bag.chosen[i] > 0 && prev_chosen_[i] == bag.chosen[i]) {
+          bag.reuse |= uint64_t{1} << i;
           ctx_->CountReuse();
           if (obs::TraceRecorder* tr = ctx_->trace()) {
             // Build-side state kept across steps (Sec. 5.3).
@@ -353,23 +450,14 @@ void BagOperatorHost::TryFeed() {
         }
       }
     }
-    std::vector<bool> reuse = bag.reuse;
     const double open_elements = bag.templated ? kTemplatedBookkeepingElements
                                                : kBookkeepingElements;
-    EnqueueWork(bag.replay ? 0 : open_elements * PerElementCost(),
-                "open", [this, reuse] {
-      if (kernel_) {
-        for (size_t i = 0; i < reuse.size(); ++i) {
-          if (kernel_->CanReuseInput(static_cast<int>(i))) {
-            kernel_->SetReuseInput(static_cast<int>(i), reuse[i]);
-          }
-        }
-        kernel_->Open();
-      } else {
-        special_values_.clear();
-        special_data_.clear();
-      }
-    });
+    WorkItem open;
+    open.cpu = bag.replay ? 0 : open_elements * PerElementCost();
+    open.phase = Phase::kOpen;
+    open.bag_len = bag.path_len;
+    open.reuse = bag.reuse;
+    EnqueueWork(open);
   }
 
   const int blocking = kernel_ ? kernel_->BlockingInput() : -1;
@@ -381,47 +469,33 @@ void BagOperatorHost::TryFeed() {
         !bag.closed[static_cast<size_t>(blocking)]) {
       continue;  // wait for the build side
     }
-    if (bag.reuse[i] || bag.chosen[i] == 0) {
-      bag.closed[i] = true;
-      EnqueueWork(0, "close", [this, i, bag_len] {
-        if (kernel_) {
-          kernel_->Close(static_cast<int>(i), [this, bag_len](Chunk&& out) {
-            EmitChunk(bag_len, std::move(out));
-          });
-        }
-      });
+    WorkItem close;
+    close.phase = Phase::kClose;
+    close.input = static_cast<int>(i);
+    close.bag_len = bag_len;
+    if (MaskBit(bag.reuse, i) || bag.chosen[i] == 0) {
+      bag.closed[i] = 1;
+      EnqueueWork(close);
       continue;
     }
-    InputBagEntry& entry = inputs_[i].bags[bag.chosen[i]];
-    const int chosen_len = bag.chosen[i];
+    InputBagEntry& entry = inputs_[i].FindOrAdd(bag.chosen[i]);
     while (bag.fed[i] < entry.chunks.size()) {
-      size_t idx = bag.fed[i]++;
-      bag.elements_in += static_cast<int64_t>(entry.chunks[idx].size());
+      const size_t idx = bag.fed[i]++;
+      const Chunk& chunk = entry.chunks[idx];
+      bag.elements_in += static_cast<int64_t>(chunk.size());
       // Per-chunk charging (amortized dispatch + payload bytes) instead of
       // the old per-element model.
-      double cpu = bag.replay ? 0 : ChunkCost(entry.chunks[idx]);
-      EnqueueWork(cpu, "push", [this, i, chosen_len, idx, bag_len] {
-        const Chunk& chunk = inputs_[i].bags.at(chosen_len).chunks[idx];
-        auto emit = [this, bag_len](Chunk&& out) {
-          EmitChunk(bag_len, std::move(out));
-        };
-        if (kernel_) {
-          kernel_->Push(static_cast<int>(i), chunk, emit);
-        } else {
-          SpecialPush(static_cast<int>(i), chunk);
-        }
-      });
+      WorkItem push = close;
+      push.cpu = bag.replay ? 0 : ChunkCost(chunk);
+      push.phase = Phase::kPush;
+      push.chosen_len = bag.chosen[i];
+      push.chunk = idx;
+      EnqueueWork(push);
     }
     if (entry.markers == inputs_[i].expected_markers &&
         bag.fed[i] == entry.chunks.size()) {
-      bag.closed[i] = true;
-      EnqueueWork(0, "close", [this, i, bag_len] {
-        if (kernel_) {
-          kernel_->Close(static_cast<int>(i), [this, bag_len](Chunk&& out) {
-            EmitChunk(bag_len, std::move(out));
-          });
-        }
-      });
+      bag.closed[i] = 1;
+      EnqueueWork(close);
     }
   }
 
@@ -436,7 +510,6 @@ void BagOperatorHost::TryFeed() {
 }
 
 void BagOperatorHost::EnqueueFinish(OutBag& bag) {
-  const int bag_len = bag.path_len;
   double cpu = (bag.templated ? kTemplatedBookkeepingElements
                               : kBookkeepingElements) *
                PerElementCost();
@@ -444,16 +517,11 @@ void BagOperatorHost::EnqueueFinish(OutBag& bag) {
     cpu += static_cast<double>(node_->literal.size()) * PerElementCost();
   }
   if (bag.replay) cpu = 0;
-  EnqueueWork(cpu, "finish", [this, bag_len] {
-    if (kernel_) {
-      kernel_->Finish([this, bag_len](Chunk&& out) {
-        EmitChunk(bag_len, std::move(out));
-      });
-      FinalizeActiveBag();
-    } else {
-      SpecialFinish();
-    }
-  });
+  WorkItem finish;
+  finish.cpu = cpu;
+  finish.phase = Phase::kFinish;
+  finish.bag_len = bag.path_len;
+  EnqueueWork(finish);
 }
 
 void BagOperatorHost::FlushShuffleBuffers(int bag_len) {
@@ -501,10 +569,7 @@ void BagOperatorHost::FinalizeActiveBag() {
       ps->done = true;
     }
   }
-  pending_sends_.remove_if([](const PendingSend& ps) {
-    return ps.bag_finished && (ps.done ||
-                               ps.state == PendingSend::State::kDropped);
-  });
+  CompactPendingSends();
 
   if (obs::TraceRecorder* tr = ctx_->trace()) {
     // One span per output bag, named by the paper's bag identifier
@@ -527,8 +592,8 @@ void BagOperatorHost::ReleaseAndPop() {
   OutBag& bag = out_bags_.front();
   for (size_t i = 0; i < inputs_.size(); ++i) {
     if (bag.chosen[i] > 0) {
-      auto it = inputs_[i].bags.find(bag.chosen[i]);
-      if (it == inputs_[i].bags.end()) {
+      const int b = inputs_[i].IndexOf(bag.chosen[i]);
+      if (b < 0) {
         // The chosen input bag vanished while this bag still held a
         // reference — an eviction-accounting bug; fail with context.
         ctx_->Fail(Status::Internal(
@@ -538,7 +603,7 @@ void BagOperatorHost::ReleaseAndPop() {
             std::to_string(bag.chosen[i]) + " was already evicted"));
         return;
       }
-      --it->second.refs;
+      --inputs_[i].bags[static_cast<size_t>(b)].refs;
       MaybeEvict(i);
     }
   }
@@ -548,13 +613,14 @@ void BagOperatorHost::ReleaseAndPop() {
 
 void BagOperatorHost::MaybeEvict(size_t input_index) {
   if (!ctx_->discard_spent_bags()) return;
-  auto& bags = inputs_[input_index].bags;
-  for (auto it = bags.begin(); it != bags.end();) {
-    if (it->second.superseded && it->second.refs == 0) {
-      ctx_->TrackMemory(-it->second.bytes);
-      it = bags.erase(it);
+  InputState& input = inputs_[input_index];
+  for (size_t b = 0; b < input.live;) {
+    const InputBagEntry& entry = input.bags[b];
+    if (entry.superseded && entry.refs == 0) {
+      ctx_->TrackMemory(-entry.bytes);
+      input.Erase(b);  // moves the last live entry to b
     } else {
-      ++it;
+      ++b;
     }
   }
 }
@@ -567,7 +633,7 @@ void BagOperatorHost::DeliverChunk(int input_index, int bag_len,
   ctx_->NoteProgress();
   ctx_->CountChunk(chunk.fallback());
   InputBagEntry& entry =
-      inputs_[static_cast<size_t>(input_index)].bags[bag_len];
+      inputs_[static_cast<size_t>(input_index)].FindOrAdd(bag_len);
   int64_t bytes = static_cast<int64_t>(chunk.SerializedSize());
   entry.bytes += bytes;
   ctx_->TrackMemory(bytes);
@@ -579,7 +645,7 @@ void BagOperatorHost::DeliverMarker(int input_index, int bag_len) {
   if (ctx_->failed()) return;
   ctx_->NoteProgress();
   InputBagEntry& entry =
-      inputs_[static_cast<size_t>(input_index)].bags[bag_len];
+      inputs_[static_cast<size_t>(input_index)].FindOrAdd(bag_len);
   ++entry.markers;
   if (entry.markers >
       inputs_[static_cast<size_t>(input_index)].expected_markers) {
@@ -943,21 +1009,23 @@ void BagOperatorHost::SendChunkTo(const OutEdgeInfo& edge,
 
 void BagOperatorHost::SendMarkerOnEdge(size_t edge_index, int bag_len) {
   const OutEdgeInfo& edge = out_edges_[edge_index];
-  std::vector<int> dests;
+  // Consumer instances [first, last) receive the marker.
+  int first = 0;
+  int last = edge.consumer_par;
   switch (edge.kind) {
     case EdgeKind::kForward:
-      dests = {instance_};
+      first = instance_;
+      last = instance_ + 1;
       break;
     case EdgeKind::kGather:
-      dests = {0};
+      last = 1;
       break;
     case EdgeKind::kBroadcast:
     case EdgeKind::kShuffle:
-      for (int ci = 0; ci < edge.consumer_par; ++ci) dests.push_back(ci);
       break;
   }
   size_t bytes = ctx_->backend()->config().control_message_bytes;
-  for (int ci : dests) {
+  for (int ci = first; ci < last; ++ci) {
     int dst = ctx_->MachineOf(edge.consumer, ci);
     BagOperatorHost* consumer = ctx_->host(edge.consumer, ci);
     int input_index = edge.input_index;
@@ -970,7 +1038,8 @@ void BagOperatorHost::SendMarkerOnEdge(size_t edge_index, int bag_len) {
 
 BagOperatorHost::PendingSend* BagOperatorHost::FindPendingSend(
     int bag_len, size_t edge_index) {
-  for (PendingSend& ps : pending_sends_) {
+  for (size_t k = 0; k < live_sends_; ++k) {
+    PendingSend& ps = pending_sends_[k];
     if (ps.bag_len == bag_len &&
         ps.edge_index == static_cast<int>(edge_index)) {
       return &ps;
@@ -981,7 +1050,8 @@ BagOperatorHost::PendingSend* BagOperatorHost::FindPendingSend(
 
 void BagOperatorHost::AdvancePendingSends(ir::BlockId block) {
   const ir::Cfg& cfg = ctx_->cfg();
-  for (PendingSend& ps : pending_sends_) {
+  for (size_t k = 0; k < live_sends_; ++k) {
+    PendingSend& ps = pending_sends_[k];
     if (ps.state != PendingSend::State::kPending) continue;
     const OutEdgeInfo& edge = out_edges_[static_cast<size_t>(ps.edge_index)];
     if (block == edge.consumer_block) {
@@ -1011,10 +1081,21 @@ void BagOperatorHost::AdvancePendingSends(ir::BlockId block) {
       ps.buffered.clear();
     }
   }
-  pending_sends_.remove_if([](const PendingSend& ps) {
-    return ps.bag_finished && (ps.done ||
-                               ps.state == PendingSend::State::kDropped);
-  });
+  CompactPendingSends();
+}
+
+void BagOperatorHost::CompactPendingSends() {
+  size_t kept = 0;
+  for (size_t k = 0; k < live_sends_; ++k) {
+    const PendingSend& ps = pending_sends_[k];
+    const bool finished =
+        ps.bag_finished &&
+        (ps.done || ps.state == PendingSend::State::kDropped);
+    if (finished) continue;
+    if (kept != k) std::swap(pending_sends_[kept], pending_sends_[k]);
+    ++kept;
+  }
+  live_sends_ = kept;
 }
 
 // ----- diagnostics -----
@@ -1032,10 +1113,11 @@ std::string BagOperatorHost::DebugState() const {
     for (size_t i = 0; i < inputs_.size(); ++i) {
       s += ", in" + std::to_string(i) + "=" + std::to_string(bag.chosen[i]);
       s += bag.closed[i] ? "closed" : "open";
-      auto it = inputs_[i].bags.find(bag.chosen[i]);
-      if (it != inputs_[i].bags.end()) {
-        s += "(" + std::to_string(it->second.chunks.size()) + "ch," +
-             std::to_string(it->second.markers) + "/" +
+      const int b = inputs_[i].IndexOf(bag.chosen[i]);
+      if (b >= 0) {
+        const InputBagEntry& entry = inputs_[i].bags[static_cast<size_t>(b)];
+        s += "(" + std::to_string(entry.chunks.size()) + "ch," +
+             std::to_string(entry.markers) + "/" +
              std::to_string(inputs_[i].expected_markers) + "mk)";
       }
     }

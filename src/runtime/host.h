@@ -35,8 +35,7 @@
 #ifndef MITOS_RUNTIME_HOST_H_
 #define MITOS_RUNTIME_HOST_H_
 
-#include <deque>
-#include <list>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,6 +43,7 @@
 
 #include "common/chunk.h"
 #include "common/datum.h"
+#include "common/ring_buffer.h"
 #include "common/status.h"
 #include "dataflow/graph.h"
 #include "dataflow/operators.h"
@@ -188,7 +188,10 @@ class BagOperatorHost {
   // (dataflow::LogicalGraph::routing); the host only holds a reference.
   using OutEdgeInfo = dataflow::LogicalGraph::RoutingEdge;
 
+  // One cached input bag. Entries are recycled (see InputState), so a
+  // bag's chunk vector reuses the capacity of an evicted one.
   struct InputBagEntry {
+    int len = 0;  // the bag's path length (its id on this input)
     ChunkVector chunks;
     int markers = 0;
     int refs = 0;
@@ -200,15 +203,27 @@ class BagOperatorHost {
     dataflow::EdgeRef edge;
     ir::BlockId producer_block = ir::kNoBlock;
     int expected_markers = 0;
-    std::map<int, InputBagEntry> bags;  // keyed by bag path length
+    // Cached bags in no particular order: bags[0, live) are in use, the
+    // rest are spares kept for their capacity. A handful are live at once.
+    std::vector<InputBagEntry> bags;
+    size_t live = 0;
+
+    // Index into bags of the live entry for `len`, or -1.
+    int IndexOf(int len) const;
+    InputBagEntry& FindOrAdd(int len);
+    // Releases the live entry at `index` (its chunks are dropped) and
+    // keeps it as a spare.
+    void Erase(size_t index);
   };
 
+  // One output bag in path order. The queue recycles these slots, so the
+  // per-input vectors keep their capacity from bag to bag.
   struct OutBag {
     int path_len = 0;
-    std::vector<int> chosen;   // per input: chosen bag length, 0 = none
-    std::vector<size_t> fed;   // chunks enqueued so far per input
-    std::vector<bool> closed;  // Close enqueued per input
-    std::vector<bool> reuse;   // hoisting: skip re-feeding this input
+    std::vector<int> chosen;      // per input: chosen bag length, 0 = none
+    std::vector<size_t> fed;      // chunks enqueued so far per input
+    std::vector<uint8_t> closed;  // Close enqueued per input
+    uint64_t reuse = 0;  // hoisting: bit i = skip re-feeding input i
     bool opened = false;
     bool finish_enqueued = false;
     bool replay = false;  // survived a failed attempt: zero-cost re-run
@@ -221,13 +236,27 @@ class BagOperatorHost {
 
   // Conditional-output gating state per (bag, conditional out-edge).
   struct PendingSend {
-    int bag_len;
-    int edge_index;
+    int bag_len = 0;
+    int edge_index = 0;
     enum class State { kPending, kSending, kDropped } state =
         State::kPending;
     ChunkVector buffered;
     bool bag_finished = false;
     bool done = false;  // marker sent or dropped; entry removable
+  };
+
+  // One unit of the operator instance's serialized work, as plain data:
+  // RunWork() executes it, so queueing it allocates nothing and the
+  // backend callback that runs it captures only `this`.
+  enum class Phase : uint8_t { kOpen, kPush, kClose, kFinish };
+  struct WorkItem {
+    double cpu = 0;  // modelled CPU charge
+    Phase phase = Phase::kOpen;
+    int input = 0;       // kPush, kClose: the logical input
+    int chosen_len = 0;  // kPush: the input bag's path length
+    size_t chunk = 0;    // kPush: index into that bag's chunks
+    int bag_len = 0;     // the output bag's path length
+    uint64_t reuse = 0;  // kOpen: bit i = keep input i's built state
   };
 
   // ----- path events -----
@@ -244,15 +273,17 @@ class BagOperatorHost {
   int ChooseInput(int i, int len) const;
   // True per-input longest-prefix lengths for a bag with prefix `len`
   // (including non-best Φ inputs — the template classifies all of them).
-  std::vector<int> ComputeInputLengths(int len) const;
+  void ComputeInputLengths(int len, std::vector<int>* lens) const;
 
   // ----- processing -----
   void TryFeed();
-  // `phase` labels the core span in the execution trace ("open", "push",
-  // "close", "finish"); it must be a string literal (stored, not copied).
-  void EnqueueWork(double cpu_seconds, const char* phase,
-                   std::function<void()> action);
+  // Charges and queues `item`; the work queue runs one item at a time.
+  void EnqueueWork(const WorkItem& item);
+  // Starts the front item on the backend when the instance is idle.
   void Pump();
+  // Backend callback of the item Pump started.
+  void OnWorkDone();
+  void RunWork(const WorkItem& item);
   void EnqueueFinish(OutBag& bag);
   void FinalizeActiveBag();
   void ReleaseAndPop();
@@ -282,6 +313,9 @@ class BagOperatorHost {
   void FlushShuffleBuffers(int bag_len);
   void AdvancePendingSends(ir::BlockId block);
   PendingSend* FindPendingSend(int bag_len, size_t edge_index);
+  // Drops finished entries (marker sent or bag dropped), keeping the
+  // survivors in creation order and the dropped slots as spares.
+  void CompactPendingSends();
 
   void MaybeEvict(size_t input_index);
 
@@ -301,26 +335,27 @@ class BagOperatorHost {
   const std::vector<OutEdgeInfo>& out_edges_;
   HostStepTemplate step_template_;
 
-  std::deque<OutBag> out_bags_;
-  std::list<PendingSend> pending_sends_;
+  RingBuffer<OutBag> out_bags_;
+  // pending_sends_[0, live_sends_) in creation order; the rest are spares.
+  std::vector<PendingSend> pending_sends_;
+  size_t live_sends_ = 0;
   // Spark-style blocking shuffles: chunks held until the bag finishes.
   std::map<std::pair<int, size_t>, ChunkVector> shuffle_buffers_;
 
   // Previous (finished) bag's input choices, for hoisting.
   std::vector<int> prev_chosen_;
   bool has_prev_ = false;
+  // Scratch for per-input longest-prefix lengths (one per occurrence).
+  std::vector<int> lens_;
 
   // The operator instance's lane in the execution trace (registered on
   // first use; -1 until then). Only meaningful when ctx_->trace() != null.
   int TraceLane();
 
-  // Serialized work queue modelling the single-threaded operator instance.
-  struct WorkItem {
-    double cpu;
-    const char* phase;  // trace label for the core span
-    std::function<void()> action;
-  };
-  std::deque<WorkItem> work_;
+  // Serialized work queue modelling the single-threaded operator instance;
+  // running_ is the item on the backend while busy_.
+  RingBuffer<WorkItem> work_;
+  WorkItem running_;
   bool busy_ = false;
   int trace_lane_ = -1;
 

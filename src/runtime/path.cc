@@ -6,15 +6,63 @@
 
 namespace mitos::runtime {
 
+void ExecutionPath::Append(ir::BlockId block, StepMeta meta) {
+  MITOS_CHECK_GE(block, 0);
+  const int pos = size();
+  // The occurrence record is published before the entry that makes `pos`
+  // visible, so a reader that sees length pos + 1 also sees it.
+  while (occurrences_.size() <= block) {
+    occurrences_.Next();
+    occurrences_.Commit();
+  }
+  occurrences_.Mutable(block).push_back(pos);
+  entries_.push_back(Entry{block, meta});
+}
+
+int ExecutionPath::LongestPrefixEndingWith(ir::BlockId block,
+                                           int max_len) const {
+  const int limit = std::min(max_len, size());
+  if (limit <= 0 || block < 0 || block >= occurrences_.size()) return 0;
+  const Positions& occ = occurrences_[block];
+  // The last occurrence below `limit`. Positions past this reader's view
+  // may already be appended; they are >= limit and never chosen.
+  int hi = occ.size();
+  if (hi > 0 && occ[hi - 1] < limit) return occ[hi - 1] + 1;
+  int lo = 0;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (occ[mid] < limit) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo == 0 ? 0 : occ[lo - 1] + 1;
+}
+
+bool ExecutionPath::SegmentsEqual(int a_start, int b_start, int len) const {
+  const int n = size();
+  if (len < 0 || a_start < 0 || b_start < 0 || a_start + len > n ||
+      b_start + len > n) {
+    return false;
+  }
+  for (int k = 0; k < len; ++k) {
+    if (entries_[a_start + k].block != entries_[b_start + k].block) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string ExecutionPath::ToString() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  const int n = size();
   std::ostringstream out;
   out << '[';
-  for (size_t i = 0; i < blocks_.size(); ++i) {
+  for (int i = 0; i < n; ++i) {
     if (i > 0) out << ' ';
-    out << blocks_[i];
+    out << entries_[i].block;
   }
-  out << (complete_ ? "] (complete)" : "]");
+  out << (complete() ? "] (complete)" : "]");
   return out.str();
 }
 
@@ -26,9 +74,8 @@ void ControlFlowManager::AdvanceTo(int new_len, bool complete) {
   pending_.emplace_back(new_len, complete);
   if (advancing_) return;
   advancing_ = true;
-  while (!pending_.empty()) {
-    auto [len, comp] = pending_.front();
-    pending_.pop_front();
+  for (size_t next = 0; next < pending_.size(); ++next) {
+    const auto [len, comp] = pending_[next];
     while (known_len_ < std::min(len, path_->size())) {
       int pos = known_len_++;
       ir::BlockId block = path_->at(pos);
@@ -39,6 +86,7 @@ void ControlFlowManager::AdvanceTo(int new_len, bool complete) {
       for (auto& listener : completion_listeners_) listener();
     }
   }
+  pending_.clear();
   advancing_ = false;
 }
 
@@ -207,7 +255,8 @@ void PathAuthority::AppendChain(ir::BlockId block, int machine,
   // Collect the decided block and every block that follows unconditionally;
   // stop at a conditional branch (its condition node will decide later) or
   // at program exit.
-  std::vector<ir::BlockId> chain;
+  std::vector<ir::BlockId>& chain = chain_;
+  chain.clear();
   bool complete = false;
   ir::BlockId current = block;
   while (true) {

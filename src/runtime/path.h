@@ -5,8 +5,8 @@
 // the execution path up to its creation. Because the execution path is a
 // single append-only sequence of basic blocks, a path prefix is fully
 // described by its *length* — so BagId is just (node, prefix length), and
-// the longest-prefix input-choice rule (Sec. 5.2.3) becomes a backwards
-// scan for the last occurrence of a block.
+// the longest-prefix input-choice rule (Sec. 5.2.3) becomes a search for
+// the last occurrence of a block.
 //
 // The PathAuthority owns the true path. Condition-node instances report
 // decisions to it; it appends the chosen block (plus the chain of
@@ -18,12 +18,12 @@
 #ifndef MITOS_RUNTIME_PATH_H_
 #define MITOS_RUNTIME_PATH_H_
 
-#include <deque>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,86 +56,126 @@ struct BagId {
   }
 };
 
+// An append-only array with one writer and lock-free readers. Elements
+// live in segments that are allocated on first use and never move; segment
+// k holds 2^(kFirstBits + k) elements, so a small first segment keeps tiny
+// jobs cheap while 32 inline segment pointers cover any int index without
+// pre-sizing. The writer fills the slot Next() returns and publishes it
+// with Commit() (a release store of the size). A reader may read index i
+// once it has learned size() > i through an acquire load or any other
+// happens-before edge; the slot and its segment pointer were written
+// before that size was published, and are never written again.
+template <typename T, int kFirstBits>
+class AppendOnlyArray {
+ public:
+  AppendOnlyArray() = default;
+  AppendOnlyArray(const AppendOnlyArray&) = delete;
+  AppendOnlyArray& operator=(const AppendOnlyArray&) = delete;
+  ~AppendOnlyArray() {
+    for (T* segment : segments_) delete[] segment;
+  }
+
+  int size() const { return size_.load(std::memory_order_acquire); }
+
+  const T& operator[](int i) const {
+    const auto [k, offset] = Locate(i);
+    return segments_[k][offset];
+  }
+  // Writer only: a published element the writer keeps updating (itself
+  // reader-safe, e.g. a nested AppendOnlyArray).
+  T& Mutable(int i) {
+    const auto [k, offset] = Locate(i);
+    return segments_[k][offset];
+  }
+
+  // Writer only: the unpublished slot at index size().
+  T& Next() {
+    const auto [k, offset] = Locate(size_.load(std::memory_order_relaxed));
+    if (segments_[k] == nullptr) {
+      segments_[k] = new T[size_t{1} << (kFirstBits + k)]();
+    }
+    return segments_[k][offset];
+  }
+  void Commit() {
+    size_.store(size_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
+  }
+  void push_back(const T& value) {
+    Next() = value;
+    Commit();
+  }
+
+ private:
+  // (segment, offset) of index i: segment k starts at (2^k - 1) << kFirstBits.
+  static std::pair<size_t, size_t> Locate(int i) {
+    const size_t index = static_cast<size_t>(i);
+    const size_t k =
+        static_cast<size_t>(std::bit_width((index >> kFirstBits) + 1)) - 1;
+    return {k, index - (((size_t{1} << k) - 1) << kFirstBits)};
+  }
+
+  std::array<T*, 32> segments_{};
+  std::atomic<int> size_{0};
+};
+
 // The global execution path: an append-only sequence of basic blocks.
 //
-// Internally synchronized: the authority (the only writer) appends from
-// whichever machine hosted the deciding condition node, while every other
-// machine's manager reads concurrently — on the threads backend those are
-// different OS threads. A shared_mutex keeps readers parallel; on the DES
-// (single host thread) the uncontended locks cost nanoseconds and change
-// nothing about the schedule.
+// Single writer, lock-free readers. The authority is the only writer (it
+// appends from whichever machine hosted the deciding condition node);
+// every machine's manager reads concurrently, and on the threads backend
+// those are different OS threads. Publication rule: Append() writes the
+// block, its StepMeta and the block's occurrence record, then publishes
+// the new length with a release store; MarkComplete() release-stores the
+// flag after the last append. A reader only reads positions below a length
+// it learned with an acquire load (size(), or the length a path broadcast
+// carried through a backend queue, which orders it after the append). On
+// the DES everything runs on one thread and the atomics are plain moves.
+//
+// Each block also has its occurrence positions, in increasing order, in
+// the same append-only storage, so the input-choice rule (Sec. 5.2.3) is a
+// binary search instead of a backwards scan over the whole path.
 class ExecutionPath {
  public:
-  int size() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return SizeLocked();
-  }
+  int size() const { return entries_.size(); }
   ir::BlockId at(int pos) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
     MITOS_CHECK_GE(pos, 0);
-    MITOS_CHECK_LT(pos, SizeLocked());
-    return blocks_[static_cast<size_t>(pos)];
+    MITOS_CHECK_LT(pos, size());
+    return entries_[pos].block;
   }
-  void Append(ir::BlockId block, StepMeta meta = {}) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    blocks_.push_back(block);
-    meta_.push_back(meta);
-  }
+  void Append(ir::BlockId block, StepMeta meta = {});
 
   // Step-template metadata stamped by the authority at append time
   // (runtime/step_template.h).
   StepMeta meta(int pos) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
     MITOS_CHECK_GE(pos, 0);
-    MITOS_CHECK_LT(pos, SizeLocked());
-    return meta_[static_cast<size_t>(pos)];
+    MITOS_CHECK_LT(pos, size());
+    return entries_[pos].meta;
   }
 
-  bool complete() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return complete_;
-  }
-  void MarkComplete() {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    complete_ = true;
-  }
+  bool complete() const { return complete_.load(std::memory_order_acquire); }
+  void MarkComplete() { complete_.store(true, std::memory_order_release); }
 
   // Length of the longest prefix with length <= max_len that ends with
   // `block`; 0 if none (Sec. 5.2.3's input-choice rule).
-  int LongestPrefixEndingWith(ir::BlockId block, int max_len) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    for (int l = std::min(max_len, SizeLocked()); l >= 1; --l) {
-      if (blocks_[static_cast<size_t>(l - 1)] == block) return l;
-    }
-    return 0;
-  }
+  int LongestPrefixEndingWith(ir::BlockId block, int max_len) const;
 
   // Block-for-block equality of the segments [a_start, a_start + len) and
   // [b_start, b_start + len); false when either is out of range.
-  bool SegmentsEqual(int a_start, int b_start, int len) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (len < 0 || a_start < 0 || b_start < 0 ||
-        a_start + len > SizeLocked() || b_start + len > SizeLocked()) {
-      return false;
-    }
-    for (int k = 0; k < len; ++k) {
-      if (blocks_[static_cast<size_t>(a_start + k)] !=
-          blocks_[static_cast<size_t>(b_start + k)]) {
-        return false;
-      }
-    }
-    return true;
-  }
+  bool SegmentsEqual(int a_start, int b_start, int len) const;
 
   std::string ToString() const;
 
  private:
-  int SizeLocked() const { return static_cast<int>(blocks_.size()); }
+  struct Entry {
+    ir::BlockId block = ir::kNoBlock;
+    StepMeta meta;
+  };
+  using Positions = AppendOnlyArray<int, 4>;
 
-  mutable std::shared_mutex mu_;
-  std::vector<ir::BlockId> blocks_;
-  std::vector<StepMeta> meta_;
-  bool complete_ = false;
+  AppendOnlyArray<Entry, 6> entries_;
+  // Indexed by block id: the positions where that block occurs.
+  AppendOnlyArray<Positions, 3> occurrences_;
+  std::atomic<bool> complete_{false};
 };
 
 // Per-machine view of the execution path. The underlying storage is shared
@@ -199,7 +239,8 @@ class ControlFlowManager {
   int known_len_ = 0;
   bool known_complete_ = false;
   bool advancing_ = false;
-  std::deque<std::pair<int, bool>> pending_;  // queued re-entrant advances
+  // Queued re-entrant advances; cleared (capacity kept) once drained.
+  std::vector<std::pair<int, bool>> pending_;
   std::vector<std::function<void(int, ir::BlockId)>> listeners_;
   std::vector<std::function<void()>> completion_listeners_;
 };
@@ -293,6 +334,8 @@ class PathAuthority {
   Options options_;
   std::function<void(Status)> on_error_;
   ExecutionPath* path_;
+  // AppendChain's scratch: the blocks one decision appends.
+  std::vector<ir::BlockId> chain_;
   int decisions_ = 0;
   // Step-template state (inert when options_.step_templates is false).
   StepTemplateTracker tracker_;

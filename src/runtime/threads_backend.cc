@@ -108,7 +108,7 @@ ThreadsBackend::Machine* ThreadsBackend::MachineAt(int machine) const {
   return machines_[static_cast<size_t>(machine)].get();
 }
 
-void ThreadsBackend::Post(int machine, std::function<void()> fn) {
+void ThreadsBackend::Post(int machine, Task task) {
   Machine* m = MachineAt(machine);
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   // Instrumentation meters how long the producer blocked on the queue
@@ -118,7 +118,8 @@ void ThreadsBackend::Post(int machine, std::function<void()> fn) {
   const double t_enter = instrumented ? now() : 0;
   double t_locked = t_enter;
   if (tls_worker == m) {
-    m->local.push_back(Task{std::move(fn), t_enter});
+    task.enqueued_at = t_enter;
+    m->local.push_back(std::move(task));
     if (instrumented) {
       m->local_peak_depth = std::max(m->local_peak_depth, m->local.size());
       ++m->local_tasks_posted;
@@ -128,7 +129,8 @@ void ThreadsBackend::Post(int machine, std::function<void()> fn) {
     {
       std::lock_guard<std::mutex> lock(m->mu);
       if (instrumented) t_locked = now();
-      m->queue.push_back(Task{std::move(fn), t_locked});
+      task.enqueued_at = t_locked;
+      m->queue.push_back(std::move(task));
       m->pending.store(m->queue.size(), std::memory_order_relaxed);
       if (instrumented) {
         m->peak_depth = std::max(m->peak_depth, m->queue.size());
@@ -203,7 +205,21 @@ void ThreadsBackend::WorkerLoop(int machine, Machine* m) {
         metrics_registry_->Observe(kDequeueHist, t_start - t_dequeue);
       }
     }
-    task.fn();
+    if (task.cpu) {
+      // An ExecCpu task: its wall time is the machine's CPU time, metered
+      // here rather than by a wrapper closure around the callback.
+      const double t0 = now();
+      task.fn();
+      const double t1 = now();
+      m->cpu_seconds.fetch_add(t1 - t0, std::memory_order_relaxed);
+      if (trace_ != nullptr && !task.label.empty()) {
+        const int pid = obs::MachinePid(machine);
+        trace_->Span(pid, trace_->Lane(pid, "cores"), std::move(task.label),
+                     "core", t0, t1, {});
+      }
+    } else {
+      task.fn();
+    }
     // Decrement AFTER the task ran: zero outstanding means every posted
     // task's effects are complete. Notify under done_mu_ so the driver's
     // predicate check cannot miss the wakeup.
@@ -217,23 +233,10 @@ void ThreadsBackend::WorkerLoop(int machine, Machine* m) {
 void ThreadsBackend::ExecCpu(int machine, double cpu_seconds,
                              std::function<void()> done,
                              std::string trace_label) {
-  // The modelled charge is ignored: `done` is the real work and its wall
-  // time is what gets metered.
+  // The modelled charge is ignored: `done` is the real work and
+  // WorkerLoop meters its wall time.
   (void)cpu_seconds;
-  Post(machine,
-       [this, machine, done = std::move(done),
-        label = std::move(trace_label)] {
-         const double t0 = now();
-         done();
-         const double t1 = now();
-         MachineAt(machine)->cpu_seconds.fetch_add(
-             t1 - t0, std::memory_order_relaxed);
-         if (trace_ != nullptr && !label.empty()) {
-           const int pid = obs::MachinePid(machine);
-           trace_->Span(pid, trace_->Lane(pid, "cores"), label, "core", t0,
-                        t1, {});
-         }
-       });
+  Post(machine, Task{std::move(done), std::move(trace_label), 0, true});
 }
 
 void ThreadsBackend::Send(int src, int dst, size_t bytes,
@@ -247,7 +250,7 @@ void ThreadsBackend::Send(int src, int dst, size_t bytes,
     m->network_bytes.fetch_add(static_cast<int64_t>(bytes),
                                std::memory_order_relaxed);
   }
-  Post(dst, std::move(done));
+  Post(dst, Task{std::move(done)});
 }
 
 void ThreadsBackend::DiskIo(int machine, size_t bytes,
@@ -256,7 +259,7 @@ void ThreadsBackend::DiskIo(int machine, size_t bytes,
     MachineAt(machine)->disk_bytes.fetch_add(static_cast<int64_t>(bytes),
                                              std::memory_order_relaxed);
   }
-  Post(machine, std::move(done));
+  Post(machine, Task{std::move(done)});
 }
 
 void ThreadsBackend::DiskRead(int machine, size_t bytes, int pieces,
@@ -269,14 +272,15 @@ void ThreadsBackend::DiskRead(int machine, size_t bytes, int pieces,
   // One task for the whole read: the data is already in process memory, so
   // there is no I/O pace to emit at — downstream overlap comes from the
   // other machines' sources reading concurrently.
-  Post(machine, [pieces, on_progress = std::move(on_progress)] {
+  auto read = [pieces, on_progress = std::move(on_progress)] {
     for (int i = 0; i < pieces; ++i) on_progress(i);
-  });
+  };
+  Post(machine, Task{std::move(read)});
 }
 
 void ThreadsBackend::ScheduleAfter(double delay, std::function<void()> fn) {
   (void)delay;  // coordinator-side launch only; see the Backend contract
-  Post(0, std::move(fn));
+  Post(0, Task{std::move(fn)});
 }
 
 void ThreadsBackend::ScheduleWhenIdle(std::function<void()> fn) {

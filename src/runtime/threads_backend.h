@@ -5,8 +5,10 @@
 // Post(target, fn):
 //
 //   * ExecCpu runs `done` on the target machine's thread — the callback IS
-//     the real work; the modelled cpu_seconds charge is ignored and the
-//     callback's measured wall time is metered into cpu_seconds instead.
+//     the real work; the modelled cpu_seconds charge is ignored. The task
+//     carries a cpu flag and the trace label, and WorkerLoop meters it in
+//     place: the callback's wall time goes into cpu_seconds (and a "core"
+//     span when tracing), with no wrapper closure around `done`.
 //   * Send posts `done` to the destination. Byte/message tallies use the
 //     same local-vs-network split as the simulated cluster (src == dst →
 //     local_bytes).
@@ -17,7 +19,9 @@
 //     only used for the pre-work job launch; Mitos engines run with
 //     decision_overhead == 0 — see the Backend contract).
 //
-// Task queues. Each machine has two FIFO deques:
+// Task queues. Each machine has two FIFO queues, ring buffers that keep
+// their capacity, so a steady-state post allocates nothing (the runtime's
+// callbacks fit std::function's inline buffer):
 //
 //   * the shared queue, guarded by the machine's mutex, which every other
 //     thread (other workers, the driver) pushes onto;
@@ -27,7 +31,8 @@
 //     self-send) appends here with no lock and no notify.
 //
 // The worker runs its local queue to empty, then refills it by swapping
-// in the whole shared queue under one lock acquisition. Per-(src,dst)
+// in the whole shared queue under one lock acquisition (O(1): the two
+// arrays trade places, each keeping a capacity). Per-(src,dst)
 // FIFO holds because every post a given thread makes to one destination
 // goes through the same one of the two queues, each FIFO, and a pair's
 // sends all come from one thread: the source's worker (the launch and
@@ -107,6 +112,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/ring_buffer.h"
 #include "obs/metrics.h"
 #include "runtime/backend.h"
 
@@ -163,18 +169,22 @@ class ThreadsBackend : public Backend {
   void FlushMetrics();
 
  private:
-  // One queued task, stamped with its enqueue time when instrumentation is
-  // on (0 otherwise — the stamp is never read then).
+  // One queued task. An ExecCpu task (`cpu`) is metered by WorkerLoop in
+  // place: its wall time goes to the machine's cpu_seconds and, when
+  // tracing, a "core" span named `label`. `enqueued_at` is stamped when
+  // instrumentation is on (0 otherwise — the stamp is never read then).
   struct Task {
     std::function<void()> fn;
+    std::string label;
     double enqueued_at = 0;
+    bool cpu = false;
   };
 
   struct Machine {
     // Shared side: any thread, under mu.
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Task> queue;
+    RingBuffer<Task> queue;
     bool sleeping = false;  // the owner is parked (or about to be) on cv
     bool stop = false;
     // Instrumentation tallies of shared-queue posts.
@@ -185,7 +195,7 @@ class ThreadsBackend : public Backend {
 
     // Owner side, on its own cache line: touched only by the worker
     // (and by the driver at quiescence, ordered through done_mu_).
-    alignas(64) std::deque<Task> local;
+    alignas(64) RingBuffer<Task> local;
     size_t local_peak_depth = 0;
     int64_t local_tasks_posted = 0;
 
@@ -208,7 +218,7 @@ class ThreadsBackend : public Backend {
   // from that worker, else onto its shared queue (waking it only if it is
   // parked). Increments outstanding_ before the push so the driver can
   // never observe a false quiescence between enqueue and execution.
-  void Post(int machine, std::function<void()> fn);
+  void Post(int machine, Task task);
   void WorkerLoop(int machine, Machine* m);
   // Called by m's worker with its local queue empty: spins (when allowed),
   // then parks until the shared queue is non-empty and swaps it into the

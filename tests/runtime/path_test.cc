@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
 #include "ir/ssa.h"
 #include "lang/builder.h"
 
@@ -36,6 +42,111 @@ TEST(ExecutionPathTest, LongestPrefixEndingWith) {
   EXPECT_EQ(path.LongestPrefixEndingWith(99, 7), 0);  // never occurred
   // max_len caps the search even past the real size.
   EXPECT_EQ(path.LongestPrefixEndingWith(B, 100), 7);
+}
+
+// The definition the occurrence index must reproduce: a backwards scan.
+int BruteForceLongestPrefix(const std::vector<ir::BlockId>& blocks,
+                            ir::BlockId block, int max_len) {
+  const int limit = std::min(max_len, static_cast<int>(blocks.size()));
+  for (int l = limit; l >= 1; --l) {
+    if (blocks[static_cast<size_t>(l - 1)] == block) return l;
+  }
+  return 0;
+}
+
+TEST(ExecutionPathTest, LongestPrefixMatchesBackwardScan) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    ExecutionPath path;
+    std::vector<ir::BlockId> blocks;
+    // Few blocks, one rare (long gaps), grown across several segments.
+    const int alphabet = static_cast<int>(rng.NextInRange(2, 9));
+    for (int step = 0; step < 3000; ++step) {
+      const ir::BlockId block =
+          rng.NextBelow(50) == 0 ? alphabet
+                                 : static_cast<ir::BlockId>(
+                                       rng.NextBelow(
+                                           static_cast<uint64_t>(alphabet)));
+      path.Append(block);
+      blocks.push_back(block);
+      for (int q = 0; q < 3; ++q) {
+        const auto probe = static_cast<ir::BlockId>(
+            rng.NextInRange(-1, alphabet + 2));
+        const int max_len = static_cast<int>(rng.NextInRange(
+            -1, static_cast<int64_t>(blocks.size()) + 3));
+        ASSERT_EQ(path.LongestPrefixEndingWith(probe, max_len),
+                  BruteForceLongestPrefix(blocks, probe, max_len))
+            << "seed " << seed << " block " << probe << " max_len "
+            << max_len << " size " << blocks.size();
+      }
+    }
+    ASSERT_EQ(path.size(), 3000);
+    for (int pos = 0; pos < path.size(); ++pos) {
+      ASSERT_EQ(path.at(pos), blocks[static_cast<size_t>(pos)]);
+    }
+  }
+}
+
+TEST(ExecutionPathTest, ConcurrentReadersSeePublishedPrefix) {
+  // One writer appends across many segment boundaries while readers query
+  // every position below the length they acquired. Run under TSan this
+  // checks the single-writer publication rule; the values check that a
+  // published position is never read torn or stale.
+  constexpr int kLen = 5000;
+  constexpr int kBlocks = 5;
+  auto block_at = [](int pos) {
+    return static_cast<ir::BlockId>((pos * 7 + pos / 13) % kBlocks);
+  };
+  ExecutionPath path;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 1);
+      while (true) {
+        const bool complete = path.complete();
+        const int len = path.size();
+        if (complete && len != kLen) failed = true;
+        if (len > 0) {
+          const int pos = static_cast<int>(
+              rng.NextBelow(static_cast<uint64_t>(len)));
+          if (path.at(pos) != block_at(pos)) failed = true;
+          if (path.meta(pos).generation != pos) failed = true;
+          // The latest occurrence of a block at or before `pos`.
+          const ir::BlockId block = block_at(pos);
+          int want = pos + 1;
+          if (path.LongestPrefixEndingWith(block, want) != want) {
+            failed = true;
+          }
+          for (int l = len; l >= 1; --l) {
+            if (block_at(l - 1) == block) {
+              want = l;
+              break;
+            }
+          }
+          if (path.LongestPrefixEndingWith(block, len) != want) {
+            failed = true;
+          }
+          const int seg = std::min(len - pos, 4);
+          const int other = static_cast<int>(
+              rng.NextBelow(static_cast<uint64_t>(len - seg + 1)));
+          bool equal = true;
+          for (int k = 0; k < seg; ++k) {
+            equal = equal && block_at(pos + k) == block_at(other + k);
+          }
+          if (path.SegmentsEqual(pos, other, seg) != equal) failed = true;
+        }
+        if (complete || failed) return;
+      }
+    });
+  }
+  for (int pos = 0; pos < kLen; ++pos) {
+    path.Append(block_at(pos), StepMeta{pos, false});
+  }
+  path.MarkComplete();
+  for (std::thread& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(path.size(), kLen);
 }
 
 TEST(ControlFlowManagerTest, AdvancesInOrderAndNotifiesOncePerPosition) {
