@@ -35,6 +35,7 @@ bool IsMitosEngine(EngineKind engine) {
 
 // Executor options shared by the DES and threads paths — the whole point of
 // the backend seam is that the Mitos engine configuration is identical.
+// Fusion is not among them: it is a compile option (CompileOptions).
 runtime::ExecutorOptions MitosOptions(EngineKind engine,
                                       const RunConfig& config,
                                       const sim::FaultPlan* faults) {
@@ -44,7 +45,6 @@ runtime::ExecutorOptions MitosOptions(EngineKind engine,
   options.launch_base = config.mitos_launch_base;
   options.launch_per_machine = config.mitos_launch_per_machine;
   options.max_path_len = config.max_path_len;
-  options.operator_fusion = config.mitos_operator_fusion;
   options.step_templates = config.step_templates;
   options.columnar = config.columnar;
   options.trace = config.trace;
@@ -84,41 +84,27 @@ void RecordRunSummary(const RunConfig& config, EngineKind engine,
   }
 }
 
-}  // namespace
-
-const char* EngineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kReference: return "Reference";
-    case EngineKind::kMitos: return "Mitos";
-    case EngineKind::kMitosNoPipelining: return "Mitos (not pipelined)";
-    case EngineKind::kMitosNoHoisting: return "Mitos (wo. hoisting)";
-    case EngineKind::kFlink: return "Flink";
-    case EngineKind::kFlinkSeparateJobs: return "Flink (separate jobs)";
-    case EngineKind::kSpark: return "Spark";
-    case EngineKind::kNaiad: return "Naiad";
-    case EngineKind::kTensorFlow: return "TensorFlow";
-  }
-  return "?";
+// The plan a run of `engine` executes; the baselines run unfused whatever
+// the config says.
+runtime::PlanOptions CompileOptions(EngineKind engine,
+                                    const RunConfig& config) {
+  runtime::PlanOptions options;
+  options.machines = config.machines;
+  options.operator_fusion =
+      IsMitosEngine(engine) && config.mitos_operator_fusion;
+  return options;
 }
 
-StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
-                        sim::SimFileSystem* fs, const RunConfig& config) {
-  RunResult result;
-  result.engine = engine;
+// The fault plan a run installs: null unless one with events is attached.
+const sim::FaultPlan* ActiveFaults(const RunConfig& config) {
+  return config.faults != nullptr && !config.faults->empty() ? config.faults
+                                                             : nullptr;
+}
 
-  if (engine == EngineKind::kReference) {
-    lang::Interpreter interpreter(fs);
-    MITOS_RETURN_IF_ERROR(interpreter.Run(program));
-    result.stats = runtime::RunStats{};
-    result.stats.jobs = 0;
-    return result;
-  }
-
+// Rejects engine/backend/fault-plan combinations no engine can run.
+Status CheckRun(EngineKind engine, const RunConfig& config) {
   // Fault handling: only the Mitos engines implement recovery.
-  const sim::FaultPlan* faults =
-      (config.faults != nullptr && !config.faults->empty()) ? config.faults
-                                                            : nullptr;
-  if (faults != nullptr) {
+  if (const sim::FaultPlan* faults = ActiveFaults(config)) {
     if (!IsMitosEngine(engine)) {
       return Status::Unimplemented(
           std::string("fault injection requires a Mitos engine, got ") +
@@ -139,133 +125,66 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
       }
     }
   }
-
-  sim::ClusterConfig cluster_config = config.cluster;
-  cluster_config.num_machines = config.machines;
-
   if (config.backend == BackendKind::kThreads) {
-    // Real-parallel path: thread-per-machine, wall-clock time. The engine
-    // configuration and operator kernels are exactly the DES ones — only
-    // the substrate differs (see runtime/threads_backend.h).
+    // The engine configuration and operator kernels are exactly the DES
+    // ones — only the substrate differs (see runtime/threads_backend.h).
     if (!IsMitosEngine(engine)) {
       return Status::Unimplemented(
           std::string("the threads backend supports the Mitos engines "
                       "only, got ") +
           EngineKindName(engine));
     }
-    if (faults != nullptr) {
+    if (ActiveFaults(config) != nullptr) {
       return Status::Unimplemented(
           "fault injection requires the DES backend: fault plans are "
           "virtual-time schedules");
     }
-    runtime::ThreadsBackend backend(cluster_config);
-    backend.set_trace(config.trace);  // flips the recorder to wall clock
-    backend.set_metrics(config.metrics);
-    obs::live::EventLog* threads_elog = config.live.event_log;
-    if (threads_elog != nullptr) {
-      backend.set_event_log(threads_elog);
-      threads_elog->Append(backend.now(), "run_begin",
-                           {{"engine", EngineKindName(engine)},
-                            {"machines", config.machines},
-                            {"backend", "threads"}});
-    }
-    ScopedLogClock log_clock(&backend, [](const void* ctx) {
-      return static_cast<const runtime::ThreadsBackend*>(ctx)->now();
-    });
-    MITOS_VLOG(1) << "run: engine=" << EngineKindName(engine)
-                  << " machines=" << config.machines << " backend=threads";
-    runtime::ExecutorOptions options =
-        MitosOptions(engine, config, /*faults=*/nullptr);
-    runtime::MitosExecutor executor(&backend, fs, options);
-    StatusOr<runtime::RunStats> stats = executor.Run(program);
-    if (!stats.ok()) return stats.status();
-    result.stats = *stats;
-    // Per-machine queue-depth peaks and task counts land in the registry
-    // now that the workers are quiescent.
-    backend.FlushMetrics();
-    RecordRunSummary(config, engine, backend.busy_until(), result.stats);
-    if (threads_elog != nullptr) {
-      threads_elog->Append(backend.busy_until(), "run_end",
-                           {{"engine", EngineKindName(engine)},
-                            {"total_seconds", result.stats.total_seconds},
-                            {"decisions", result.stats.decisions},
-                            {"attempts", result.stats.attempts}});
-      threads_elog->Flush();
-    }
-    return result;
   }
+  return Status::Ok();
+}
 
-  sim::Simulator sim;
-  sim::Cluster cluster(&sim, cluster_config);
-  // Observability: resource spans are recorded by the cluster itself, so
-  // attaching here covers every engine (including the multi-job baselines).
-  cluster.set_trace(config.trace);
+// One run on `backend`, shared by every engine and both backends: the
+// event-log begin/end records, the log clock and the run summary around
+// `body`, which executes the engine's job(s).
+template <typename Body>
+StatusOr<RunResult> RunOn(runtime::Backend* backend, EngineKind engine,
+                          const RunConfig& config, Body body) {
+  const bool threads = backend->simulator() == nullptr;
+  // Resource spans are recorded by the backend itself, so attaching here
+  // covers every engine (including the multi-job baselines). On threads
+  // this flips the recorder to wall clock.
+  backend->set_trace(config.trace);
   obs::live::EventLog* elog = config.live.event_log;
   if (elog != nullptr) {
-    // Attach before InstallFaultPlan so the plan's crash/restart/slowdown
-    // timeline lands in the log as "fault" records.
-    cluster.set_event_log(elog);
-    elog->Append(sim.now(), "run_begin",
-                 {{"engine", EngineKindName(engine)},
-                  {"machines", config.machines}});
+    // Attach before the fault plan is installed so its crash/restart/
+    // slowdown timeline lands in the log as "fault" records.
+    backend->set_event_log(elog);
+    obs::TraceArgs fields = {{"engine", EngineKindName(engine)},
+                             {"machines", config.machines}};
+    if (threads) fields.emplace_back("backend", "threads");
+    elog->Append(backend->now(), "run_begin", fields);
   }
-  cluster.InstallFaultPlan(faults);
-  ScopedLogClock log_clock(&sim, [](const void* ctx) {
-    return static_cast<const sim::Simulator*>(ctx)->now();
+  if (sim::Cluster* cluster = backend->cluster()) {
+    cluster->InstallFaultPlan(ActiveFaults(config));
+  }
+  ScopedLogClock log_clock(backend, [](const void* ctx) {
+    return static_cast<const runtime::Backend*>(ctx)->now();
   });
   MITOS_VLOG(1) << "run: engine=" << EngineKindName(engine)
-                << " machines=" << config.machines;
+                << " machines=" << config.machines
+                << (threads ? " backend=threads" : "");
 
-  StatusOr<runtime::RunStats> stats =
-      Status::Internal("unknown engine");
-  switch (engine) {
-    case EngineKind::kMitos:
-    case EngineKind::kMitosNoPipelining:
-    case EngineKind::kMitosNoHoisting: {
-      runtime::ExecutorOptions options = MitosOptions(engine, config, faults);
-      runtime::MitosExecutor executor(&sim, &cluster, fs, options);
-      stats = executor.Run(program);
-      break;
-    }
-    case EngineKind::kFlink:
-    case EngineKind::kNaiad:
-    case EngineKind::kTensorFlow: {
-      baselines::FlinkOptions options;
-      options.strict = engine == EngineKind::kFlink && config.flink_strict;
-      options.step_overhead =
-          engine == EngineKind::kFlink ? config.flink_step_overhead
-          : engine == EngineKind::kNaiad ? config.naiad_step_overhead
-                                         : config.tensorflow_step_overhead;
-      options.metrics = config.metrics;
-      stats = baselines::RunFlinkSim(&sim, &cluster, fs, program, options);
-      break;
-    }
-    case EngineKind::kSpark:
-    case EngineKind::kFlinkSeparateJobs: {
-      baselines::SparkOptions options;
-      if (engine == EngineKind::kSpark) {
-        options.launch_base = config.spark_launch_base;
-        options.launch_per_machine = config.spark_launch_per_machine;
-      } else {
-        options.launch_base = config.flink_jobs_launch_base;
-        options.launch_per_machine = config.flink_jobs_launch_per_machine;
-      }
-      options.metrics = config.metrics;
-      baselines::SparkDriver driver(&sim, &cluster, fs, options);
-      stats = driver.Run(program);
-      break;
-    }
-    case EngineKind::kReference:
-      return Status::Internal("unreachable: reference handled above");
-  }
+  StatusOr<runtime::RunStats> stats = body(backend);
   if (!stats.ok()) return stats.status();
-  result.stats = *stats;
+  RunResult result;
+  result.engine = engine;
+  result.stats = std::move(stats).value();
   // busy_until() is when real work finished; with live observability or
-  // fault handling on, trailing background timers may have pushed now()
-  // past it (they are equal otherwise).
-  RecordRunSummary(config, engine, sim.busy_until(), result.stats);
+  // fault handling on, trailing DES background timers may have pushed
+  // now() past it (they are equal otherwise).
+  RecordRunSummary(config, engine, backend->busy_until(), result.stats);
   if (elog != nullptr) {
-    elog->Append(sim.busy_until(), "run_end",
+    elog->Append(backend->busy_until(), "run_end",
                  {{"engine", EngineKindName(engine)},
                   {"total_seconds", result.stats.total_seconds},
                   {"decisions", result.stats.decisions},
@@ -275,9 +194,143 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
   return result;
 }
 
+// Builds the backend config.backend names and runs `body` on it.
+template <typename Body>
+StatusOr<RunResult> OnBackend(EngineKind engine, const RunConfig& config,
+                              Body body) {
+  sim::ClusterConfig cluster_config = config.cluster;
+  cluster_config.num_machines = config.machines;
+  if (config.backend == BackendKind::kThreads) {
+    runtime::ThreadsBackend backend(cluster_config);
+    backend.set_metrics(config.metrics);
+    return RunOn(&backend, engine, config, [&](runtime::Backend* b) {
+      StatusOr<runtime::RunStats> stats = body(b);
+      // Per-machine queue-depth peaks and task counts land in the
+      // registry now that the workers are quiescent.
+      if (stats.ok()) backend.FlushMetrics();
+      return stats;
+    });
+  }
+  sim::Simulator sim;
+  sim::Cluster cluster(&sim, cluster_config);
+  runtime::DesBackend backend(&sim, &cluster);
+  return RunOn(&backend, engine, config, body);
+}
+
+// Executes `plan` under a RunsFromPlan engine; `config` is already checked.
+StatusOr<RunResult> ExecuteChecked(EngineKind engine, const runtime::Plan& plan,
+                                   sim::SimFileSystem* fs,
+                                   const RunConfig& config) {
+  if (IsMitosEngine(engine)) {
+    const runtime::ExecutorOptions options =
+        MitosOptions(engine, config, ActiveFaults(config));
+    return OnBackend(engine, config, [&](runtime::Backend* backend) {
+      return runtime::ExecutePlan(backend, fs, plan, options);
+    });
+  }
+  baselines::FlinkOptions options;
+  options.step_overhead =
+      engine == EngineKind::kFlink   ? config.flink_step_overhead
+      : engine == EngineKind::kNaiad ? config.naiad_step_overhead
+                                     : config.tensorflow_step_overhead;
+  options.metrics = config.metrics;
+  return OnBackend(engine, config, [&](runtime::Backend* backend) {
+    return baselines::RunFlinkSim(backend, fs, plan, options);
+  });
+}
+
+}  // namespace
+
+const char* EngineKindName(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kReference: return "Reference";
+    case EngineKind::kMitos: return "Mitos";
+    case EngineKind::kMitosNoPipelining: return "Mitos (not pipelined)";
+    case EngineKind::kMitosNoHoisting: return "Mitos (wo. hoisting)";
+    case EngineKind::kFlink: return "Flink";
+    case EngineKind::kFlinkSeparateJobs: return "Flink (separate jobs)";
+    case EngineKind::kSpark: return "Spark";
+    case EngineKind::kNaiad: return "Naiad";
+    case EngineKind::kTensorFlow: return "TensorFlow";
+  }
+  return "?";
+}
+
+bool RunsFromPlan(EngineKind engine) {
+  return IsMitosEngine(engine) || engine == EngineKind::kFlink ||
+         engine == EngineKind::kNaiad || engine == EngineKind::kTensorFlow;
+}
+
+StatusOr<runtime::Plan> Compile(const lang::Program& program,
+                                const RunConfig& config) {
+  return runtime::CompilePlan(program,
+                              CompileOptions(EngineKind::kMitos, config));
+}
+
+StatusOr<RunResult> Execute(EngineKind engine, const runtime::Plan& plan,
+                            sim::SimFileSystem* fs, const RunConfig& config) {
+  if (!RunsFromPlan(engine)) {
+    return Status::InvalidArgument(
+        std::string(EngineKindName(engine)) +
+        " does not run from a plan; use api::Run with the source program");
+  }
+  if (engine == EngineKind::kFlink && config.flink_strict) {
+    return Status::InvalidArgument(
+        "strict Flink checking needs the source program; use api::Run");
+  }
+  MITOS_RETURN_IF_ERROR(CheckRun(engine, config));
+  return ExecuteChecked(engine, plan, fs, config);
+}
+
+StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
+                        sim::SimFileSystem* fs, const RunConfig& config) {
+  if (engine == EngineKind::kReference) {
+    lang::Interpreter interpreter(fs);
+    MITOS_RETURN_IF_ERROR(interpreter.Run(program));
+    RunResult result;
+    result.engine = engine;
+    result.stats = runtime::RunStats{};
+    result.stats.jobs = 0;
+    return result;
+  }
+  MITOS_RETURN_IF_ERROR(CheckRun(engine, config));
+  if (!RunsFromPlan(engine)) {
+    // Spark-style drivers compile one job per action themselves.
+    baselines::SparkOptions options;
+    if (engine == EngineKind::kSpark) {
+      options.launch_base = config.spark_launch_base;
+      options.launch_per_machine = config.spark_launch_per_machine;
+    } else {
+      options.launch_base = config.flink_jobs_launch_base;
+      options.launch_per_machine = config.flink_jobs_launch_per_machine;
+    }
+    options.metrics = config.metrics;
+    return OnBackend(engine, config, [&](runtime::Backend* backend) {
+      baselines::SparkDriver driver(backend->simulator(), backend->cluster(),
+                                    fs, options);
+      return driver.Run(program);
+    });
+  }
+  if (engine == EngineKind::kFlink && config.flink_strict) {
+    MITOS_RETURN_IF_ERROR(baselines::CheckNativeIterationExpressible(program));
+  }
+  StatusOr<runtime::Plan> plan =
+      runtime::CompilePlan(program, CompileOptions(engine, config));
+  if (!plan.ok()) return plan.status();
+  return ExecuteChecked(engine, *plan, fs, config);
+}
+
 StatusOr<RunResult> Engine::Run(const lang::Program& program,
                                 sim::SimFileSystem* fs) {
-  StatusOr<RunResult> result = api::Run(kind_, program, fs, config_);
+  return Profiled(api::Run(kind_, program, fs, config_));
+}
+
+StatusOr<RunResult> Engine::Execute(const runtime::Plan& plan,
+                                    sim::SimFileSystem* fs) {
+  return Profiled(api::Execute(kind_, plan, fs, config_));
+}
+
+StatusOr<RunResult> Engine::Profiled(StatusOr<RunResult> result) {
   if (result.ok()) {
     last_operator_cpu_ = result->stats.operator_cpu;
     has_profile_ = true;

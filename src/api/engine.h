@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/executor.h"
+#include "runtime/plan.h"
 #include "sim/cluster.h"
 #include "sim/filesystem.h"
 
@@ -135,8 +136,35 @@ struct RunResult {
 
 // Runs `program` against the datasets in `fs` (outputs are written there
 // too). Each call uses a fresh simulator/cluster; virtual time starts at 0.
+// For the engines that run one dataflow job this is Compile + Execute.
 StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
                         sim::SimFileSystem* fs, const RunConfig& config = {});
+
+// Compile once, run many (runtime/plan.h). Compile runs the compile
+// pipeline once, for config.machines and config.mitos_operator_fusion;
+// Execute runs the resulting immutable plan exactly as Run would, as often
+// as needed and on either backend:
+//
+//   auto plan = api::Compile(program, {.machines = 3});
+//   auto des = api::Execute(api::EngineKind::kMitos, *plan, &fs1,
+//                           {.machines = 3});
+//   auto thr = api::Execute(api::EngineKind::kMitos, *plan, &fs2,
+//                           {.machines = 3,
+//                            .backend = api::BackendKind::kThreads});
+//
+// The plan fixes the IR, so config.mitos_operator_fusion matters to Compile
+// only. config.machines must equal plan.machines() (InvalidArgument
+// otherwise). Execute supports the engines RunsFromPlan names; the others
+// (the reference interpreter and the per-action job launchers) and strict
+// Flink checking need the source program, so they return InvalidArgument.
+StatusOr<runtime::Plan> Compile(const lang::Program& program,
+                                const RunConfig& config = {});
+StatusOr<RunResult> Execute(EngineKind engine, const runtime::Plan& plan,
+                            sim::SimFileSystem* fs,
+                            const RunConfig& config = {});
+// True for the engines that run one dataflow job from a plan: the Mitos
+// engines and the native-iteration baselines (Flink, Naiad, TensorFlow).
+bool RunsFromPlan(EngineKind engine);
 
 // Stateful engine handle: the same Run() entry point, plus plan EXPLAIN.
 // Remembers the per-operator CPU profile of the most recent successful
@@ -157,6 +185,9 @@ class Engine {
 
   StatusOr<RunResult> Run(const lang::Program& program,
                           sim::SimFileSystem* fs);
+  // api::Execute with this engine's kind and config; profiles like Run().
+  StatusOr<RunResult> Execute(const runtime::Plan& plan,
+                              sim::SimFileSystem* fs);
 
   // Compile-only: exports the plan this engine would execute (same IR
   // pipeline as the Mitos engines — DCE, optional fusion, translation).
@@ -167,6 +198,9 @@ class Engine {
       const lang::Program& program) const;
 
  private:
+  // Remembers the operator profile of a successful run.
+  StatusOr<RunResult> Profiled(StatusOr<RunResult> result);
+
   EngineKind kind_;
   RunConfig config_;
   bool has_profile_ = false;

@@ -62,6 +62,20 @@ Status CheckStmts(const StmtList& stmts) {
   return Status::Ok();
 }
 
+// The superstep barrier is the runtime with pipelining disabled plus a
+// per-decision overhead.
+StatusOr<runtime::RunStats> RunBarriered(runtime::Backend* backend,
+                                         sim::SimFileSystem* fs,
+                                         const runtime::Plan& plan,
+                                         const FlinkOptions& options) {
+  runtime::ExecutorOptions exec;
+  exec.pipelining = false;  // superstep barrier between iterations
+  exec.hoisting = true;     // Flink supports loop-invariant hoisting
+  exec.decision_overhead = options.step_overhead;
+  exec.metrics = options.metrics;
+  return runtime::ExecutePlan(backend, fs, plan, exec);
+}
+
 }  // namespace
 
 Status CheckNativeIterationExpressible(const lang::Program& program) {
@@ -76,13 +90,23 @@ StatusOr<runtime::RunStats> RunFlinkSim(sim::Simulator* sim,
   if (options.strict) {
     MITOS_RETURN_IF_ERROR(CheckNativeIterationExpressible(program));
   }
-  runtime::ExecutorOptions exec;
-  exec.pipelining = false;  // superstep barrier between iterations
-  exec.hoisting = true;     // Flink supports loop-invariant hoisting
-  exec.decision_overhead = options.step_overhead;
-  exec.metrics = options.metrics;
-  runtime::MitosExecutor executor(sim, cluster, fs, exec);
-  return executor.Run(program);
+  StatusOr<runtime::Plan> plan = runtime::CompilePlan(
+      program, runtime::PlanOptions{.machines = cluster->num_machines()});
+  if (!plan.ok()) return plan.status();
+  runtime::DesBackend backend(sim, cluster);
+  return RunBarriered(&backend, fs, *plan, options);
+}
+
+StatusOr<runtime::RunStats> RunFlinkSim(runtime::Backend* backend,
+                                        sim::SimFileSystem* fs,
+                                        const runtime::Plan& plan,
+                                        const FlinkOptions& options) {
+  if (options.strict) {
+    return Status::InvalidArgument(
+        "strict Flink checking needs the source program; run "
+        "CheckNativeIterationExpressible before compiling the plan");
+  }
+  return RunBarriered(backend, fs, plan, options);
 }
 
 }  // namespace mitos::baselines

@@ -51,6 +51,14 @@ StatusOr<runtime::RunStats> RunFlinkSim(sim::Simulator* sim,
                                         const lang::Program& program,
                                         const FlinkOptions& options = {});
 
+// Runs an already-compiled, unfused plan (runtime/plan.h) the same way.
+// `options.strict` needs the source program, so it is rejected here with
+// InvalidArgument: check CheckNativeIterationExpressible before compiling.
+StatusOr<runtime::RunStats> RunFlinkSim(runtime::Backend* backend,
+                                        sim::SimFileSystem* fs,
+                                        const runtime::Plan& plan,
+                                        const FlinkOptions& options = {});
+
 }  // namespace mitos::baselines
 
 #endif  // MITOS_BASELINES_FLINK_H_

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace mitos::dataflow {
 
 const char* NodeKindName(NodeKind kind) {
@@ -52,21 +54,24 @@ LogicalGraph::BuildOutEdges() const {
   return out;
 }
 
-const std::vector<LogicalGraph::RoutingEdge>& LogicalGraph::routing(
-    NodeId producer) const {
-  if (routing_cache_.size() != nodes.size()) {
-    routing_cache_.assign(nodes.size(), {});
-    for (const LogicalNode& consumer : nodes) {
-      for (size_t i = 0; i < consumer.inputs.size(); ++i) {
-        const EdgeRef& edge = consumer.inputs[i];
-        routing_cache_[static_cast<size_t>(edge.from)].push_back(
-            RoutingEdge{consumer.id, static_cast<int>(i), edge.kind,
-                        edge.shuffle_key, edge.conditional, consumer.block,
-                        consumer.parallelism});
-      }
+void LogicalGraph::BuildRouting() {
+  routing_.assign(nodes.size(), {});
+  for (const LogicalNode& consumer : nodes) {
+    for (size_t i = 0; i < consumer.inputs.size(); ++i) {
+      const EdgeRef& edge = consumer.inputs[i];
+      routing_[static_cast<size_t>(edge.from)].push_back(
+          RoutingEdge{consumer.id, static_cast<int>(i), edge.kind,
+                      edge.shuffle_key, edge.conditional, consumer.block,
+                      consumer.parallelism});
     }
   }
-  return routing_cache_[static_cast<size_t>(producer)];
+}
+
+const std::vector<LogicalGraph::RoutingEdge>& LogicalGraph::routing(
+    NodeId producer) const {
+  MITOS_CHECK_EQ(routing_.size(), nodes.size())
+      << "LogicalGraph::routing before BuildRouting";
+  return routing_[static_cast<size_t>(producer)];
 }
 
 std::string ToString(const LogicalGraph& graph) {

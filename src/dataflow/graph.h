@@ -112,9 +112,9 @@ struct LogicalGraph {
 
   // Pre-resolved routing/partitioning metadata for a producer's physical
   // out-edges: everything a host needs to emit without consulting the
-  // consumer node again. Built once per graph, lazily, and shared by every
-  // operator instance (the simulator is single-threaded; the cache is
-  // `mutable` so a translated graph can stay const for the whole run).
+  // consumer node again. BuildRouting() fills the table once, after the
+  // last edit to `nodes` (runtime::Translate calls it); from then on it is
+  // read-only, so one graph can back several jobs running at the same time.
   struct RoutingEdge {
     NodeId consumer;
     int input_index;
@@ -124,8 +124,11 @@ struct LogicalGraph {
     ir::BlockId consumer_block;
     int consumer_par;
   };
+  void BuildRouting();
   const std::vector<RoutingEdge>& routing(NodeId producer) const;
-  mutable std::vector<std::vector<RoutingEdge>> routing_cache_;
+
+ private:
+  std::vector<std::vector<RoutingEdge>> routing_;
 };
 
 std::string ToString(const LogicalGraph& graph);

@@ -1,13 +1,8 @@
 #include "obs/analysis/explain.h"
 
 #include <cstdio>
-#include <utility>
 
-#include "ir/dce.h"
-#include "ir/fusion.h"
-#include "ir/ssa.h"
-#include "ir/verify.h"
-#include "runtime/translator.h"
+#include "runtime/plan.h"
 
 namespace mitos::obs::analysis {
 
@@ -96,30 +91,18 @@ std::string ExplainPlan::ToJson() const {
 
 StatusOr<ExplainPlan> BuildExplain(const lang::Program& program,
                                    const ExplainOptions& options) {
-  StatusOr<ir::Program> compiled = ir::CompileToIr(program);
+  runtime::PlanOptions plan_options;
+  plan_options.machines = options.machines;
+  plan_options.dead_code_elimination = options.dead_code_elimination;
+  plan_options.operator_fusion = options.operator_fusion;
+  StatusOr<runtime::Plan> compiled =
+      runtime::CompilePlan(program, plan_options);
   if (!compiled.ok()) return compiled.status();
-  ir::Program optimized = std::move(*compiled);
-  MITOS_RETURN_IF_ERROR(ir::Verify(optimized));
-  if (options.dead_code_elimination) {
-    StatusOr<ir::DceResult> pruned = ir::EliminateDeadCode(optimized);
-    if (!pruned.ok()) return pruned.status();
-    optimized = std::move(pruned->program);
-    MITOS_RETURN_IF_ERROR(ir::Verify(optimized));
-  }
-  if (options.operator_fusion) {
-    StatusOr<ir::FusionResult> fused = ir::FuseElementwise(optimized);
-    if (!fused.ok()) return fused.status();
-    optimized = std::move(fused->program);
-    MITOS_RETURN_IF_ERROR(ir::Verify(optimized));
-  }
-  StatusOr<runtime::TranslateResult> translated =
-      runtime::Translate(optimized, options.machines);
-  if (!translated.ok()) return translated.status();
 
   ExplainPlan plan;
   plan.ast = lang::ToString(program);
-  plan.ssa = ir::ToString(optimized);
-  plan.graph = std::move(translated->graph);
+  plan.ssa = ir::ToString(compiled->program());
+  plan.graph = compiled->graph();
   plan.operator_cpu = options.operator_cpu;
   return plan;
 }

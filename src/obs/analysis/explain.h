@@ -2,7 +2,7 @@
 // imperative AST → SSA IR → logical dataflow graph — as DOT or JSON, with
 // per-operator cost annotations back-filled from a profiled run.
 //
-// The compile pipeline mirrors runtime::MitosExecutor::RunIr exactly
+// The plan comes from runtime::CompilePlan, the one compile pipeline
 // (Verify → dead-code elimination → optional fusion → Translate), so the
 // plan shown is the plan the Mitos engines execute. Costs come from
 // RunStats::operator_cpu (busy-CPU seconds per operator); EXPLAIN without

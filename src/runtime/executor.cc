@@ -10,15 +10,10 @@
 #include <vector>
 
 #include "ir/cfg.h"
-#include "ir/dce.h"
-#include "ir/fusion.h"
-#include "ir/ssa.h"
-#include "ir/verify.h"
 #include "obs/live/snapshot.h"
 #include "obs/live/watchdog.h"
 #include "runtime/host.h"
 #include "runtime/recovery.h"
-#include "runtime/translator.h"
 
 namespace mitos::runtime {
 
@@ -834,6 +829,31 @@ StatusOr<RunStats> ExecuteJob(sim::Simulator* sim, sim::Cluster* cluster,
   return ExecuteJob(&backend, fs, program, graph, options);
 }
 
+namespace {
+
+// The compile options MitosExecutor derives from its ExecutorOptions.
+PlanOptions PlanOptionsFor(const ExecutorOptions& options, int machines) {
+  PlanOptions plan_options;
+  plan_options.machines = machines;
+  plan_options.dead_code_elimination = options.dead_code_elimination;
+  plan_options.operator_fusion = options.operator_fusion;
+  return plan_options;
+}
+
+}  // namespace
+
+StatusOr<RunStats> ExecutePlan(Backend* backend, sim::SimFileSystem* fs,
+                               const Plan& plan,
+                               const ExecutorOptions& options) {
+  if (backend->num_machines() != plan.machines()) {
+    return Status::InvalidArgument(
+        "the plan was compiled for " + std::to_string(plan.machines()) +
+        " machines but the backend has " +
+        std::to_string(backend->num_machines()));
+  }
+  return ExecuteJob(backend, fs, plan.program(), plan.graph(), options);
+}
+
 MitosExecutor::MitosExecutor(sim::Simulator* sim, sim::Cluster* cluster,
                              sim::SimFileSystem* fs, ExecutorOptions options)
     : owned_des_(std::make_unique<DesBackend>(sim, cluster)),
@@ -846,30 +866,17 @@ MitosExecutor::MitosExecutor(Backend* backend, sim::SimFileSystem* fs,
     : backend_(backend), fs_(fs), options_(options) {}
 
 StatusOr<RunStats> MitosExecutor::Run(const lang::Program& program) {
-  StatusOr<ir::Program> ir_program = ir::CompileToIr(program);
-  if (!ir_program.ok()) return ir_program.status();
-  return RunIr(*ir_program);
+  StatusOr<Plan> plan =
+      CompilePlan(program, PlanOptionsFor(options_, backend_->num_machines()));
+  if (!plan.ok()) return plan.status();
+  return ExecutePlan(backend_, fs_, *plan, options_);
 }
 
 StatusOr<RunStats> MitosExecutor::RunIr(const ir::Program& program) {
-  MITOS_RETURN_IF_ERROR(ir::Verify(program));
-  ir::Program optimized = program;
-  if (options_.dead_code_elimination) {
-    StatusOr<ir::DceResult> pruned = ir::EliminateDeadCode(optimized);
-    if (!pruned.ok()) return pruned.status();
-    optimized = std::move(pruned->program);
-    MITOS_RETURN_IF_ERROR(ir::Verify(optimized));
-  }
-  if (options_.operator_fusion) {
-    StatusOr<ir::FusionResult> fused = ir::FuseElementwise(optimized);
-    if (!fused.ok()) return fused.status();
-    optimized = std::move(fused->program);
-    MITOS_RETURN_IF_ERROR(ir::Verify(optimized));
-  }
-  StatusOr<TranslateResult> translated =
-      Translate(optimized, backend_->num_machines());
-  if (!translated.ok()) return translated.status();
-  return ExecuteJob(backend_, fs_, optimized, translated->graph, options_);
+  StatusOr<Plan> plan =
+      CompilePlan(program, PlanOptionsFor(options_, backend_->num_machines()));
+  if (!plan.ok()) return plan.status();
+  return ExecutePlan(backend_, fs_, *plan, options_);
 }
 
 }  // namespace mitos::runtime

@@ -22,6 +22,7 @@
 #include "obs/trace.h"
 #include "runtime/backend.h"
 #include "runtime/path.h"
+#include "runtime/plan.h"
 #include "sim/cluster.h"
 #include "sim/filesystem.h"
 #include "sim/simulator.h"
@@ -45,7 +46,8 @@ struct ExecutorOptions {
   // execution). Streaming engines (Flink, Mitos) pipeline shuffles instead.
   bool blocking_shuffles = false;
   // Prune statements no sink or condition depends on before translation
-  // (dead loop Φs cost per-iteration coordination). Off = ablation.
+  // (dead loop Φs cost per-iteration coordination). Off = ablation. A
+  // compile option: read by MitosExecutor::Run/RunIr only (PlanOptions).
   bool dead_code_elimination = true;
   // Discard cached input bags and gated output partitions the execution
   // path proves dead (Sec. 5.2.4). Off = ablation (memory grows with the
@@ -64,7 +66,8 @@ struct ExecutorOptions {
   // Fuse same-block single-consumer elementwise chains into one operator
   // (Flink/Spark-style chaining; ir/fusion.h). Opt-in: kept off by default
   // so the dataflow graph matches the paper's one-node-per-assignment
-  // construction; the ablation bench measures its effect.
+  // construction; the ablation bench measures its effect. A compile
+  // option, like dead_code_elimination.
   bool operator_fusion = false;
   // Columnar chunk plane (common/chunk.h): homogeneous batches travel as
   // typed columns and kernels vectorize over them. Off = every chunk stays
@@ -139,8 +142,17 @@ StatusOr<RunStats> ExecuteJob(sim::Simulator* sim, sim::Cluster* cluster,
                               const dataflow::LogicalGraph& graph,
                               const ExecutorOptions& options);
 
+// Runs `plan` as one dataflow job on `backend` (ExecuteJob over the plan's
+// IR and graph). InvalidArgument when the backend's machine count differs
+// from the one the plan was compiled for. The plan is only read, so several
+// executions may share it, concurrently included.
+StatusOr<RunStats> ExecutePlan(Backend* backend, sim::SimFileSystem* fs,
+                               const Plan& plan,
+                               const ExecutorOptions& options);
+
 // The full Mitos engine: compile (TypeCheck + Preparator + SSA + translate)
-// and execute as a single dataflow job.
+// and execute as a single dataflow job. Run and RunIr compile a fresh plan
+// (runtime/plan.h) and hand it to ExecutePlan.
 class MitosExecutor {
  public:
   MitosExecutor(sim::Simulator* sim, sim::Cluster* cluster,

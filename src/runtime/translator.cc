@@ -66,6 +66,7 @@ class Translator {
     ResolveParallelism();
     // Pass 4: edge kinds that depend on final parallelism.
     MITOS_RETURN_IF_ERROR(FinalizeEdgeKinds());
+    graph_.BuildRouting();
 
     TranslateResult result;
     result.graph = std::move(graph_);

@@ -187,6 +187,28 @@ DiffReport RunDifferential(const lang::Program& program,
     return report;
   }
 
+  // Compile once per distinct (machines, fusion): every run of a variant
+  // that executes from a plan — rerun and fault replays included — shares
+  // it. The baselines run unfused (api::Run), so their key drops fusion.
+  std::map<std::pair<int, bool>, StatusOr<runtime::Plan>> plans;
+  auto run = [&](const EngineVariant& variant, const api::RunConfig& config,
+                 sim::SimFileSystem* fs) -> StatusOr<api::RunResult> {
+    if (!api::RunsFromPlan(variant.engine)) {
+      return api::Run(variant.engine, program, fs, config);
+    }
+    const std::pair<int, bool> key(
+        variant.machines, IsMitosEngine(variant.engine) && variant.fusion);
+    auto it = plans.find(key);
+    if (it == plans.end()) {
+      api::RunConfig compile_config;
+      compile_config.machines = key.first;
+      compile_config.mitos_operator_fusion = key.second;
+      it = plans.emplace(key, api::Compile(program, compile_config)).first;
+    }
+    if (!it->second.ok()) return it->second.status();
+    return api::Execute(variant.engine, *it->second, fs, config);
+  };
+
   for (const EngineVariant& variant : options.variants) {
     api::RunConfig config;
     config.machines = variant.machines;
@@ -196,13 +218,13 @@ DiffReport RunDifferential(const lang::Program& program,
     config.columnar = variant.columnar;
 
     sim::SimFileSystem fs;
-    auto run = api::Run(variant.engine, program, &fs, config);
+    auto first = run(variant, config, &fs);
     ++report.runs;
-    if (!run.ok()) {
+    if (!first.ok()) {
       // The reference accepted this program; an engine that rejects or
       // crashes on it diverges — that is a finding, not an infra error.
       report.mismatches.push_back(
-          {variant.label, "", "run failed: " + run.status().ToString()});
+          {variant.label, "", "run failed: " + first.status().ToString()});
       continue;
     }
     if (options.tamper) options.tamper(variant.label, &fs);
@@ -211,7 +233,7 @@ DiffReport RunDifferential(const lang::Program& program,
 
     if (variant.run_twice) {
       sim::SimFileSystem fs2;
-      auto rerun = api::Run(variant.engine, program, &fs2, config);
+      auto rerun = run(variant, config, &fs2);
       ++report.runs;
       if (!rerun.ok()) {
         report.mismatches.push_back(
@@ -230,8 +252,7 @@ DiffReport RunDifferential(const lang::Program& program,
         api::RunConfig fault_config = config;
         fault_config.faults = &options.fault_plans[i];
         sim::SimFileSystem fault_fs;
-        auto fault_run =
-            api::Run(variant.engine, program, &fault_fs, fault_config);
+        auto fault_run = run(variant, fault_config, &fault_fs);
         ++report.runs;
         const std::string label =
             variant.label + ":faults[" + std::to_string(i) + "]";

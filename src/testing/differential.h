@@ -14,6 +14,11 @@
 //     per sim::FaultPlan in DiffOptions::fault_plans, and recovery must be
 //     byte-identical to the variant's own fault-free run.
 //
+// The program is compiled once per distinct (machines, fusion) pair
+// (api::Compile); every variant that runs from a plan executes that shared
+// immutable plan, reruns and fault replays included. The reference and the
+// Spark-style baseline still start from the source program.
+//
 // Verdicts separate "found a bug" from "job broke": a variant that errors
 // or diverges where the reference succeeded is a kMismatch (the fuzzer's
 // payload — exit code 1); a failing reference run is a kInfraError (a

@@ -148,6 +148,7 @@ class PhiChoiceTest : public ::testing::Test {
     update.inputs.push_back(
         EdgeRef{1, 0, EdgeKind::kForward, ShuffleKey::kField0, false});
     graph_.nodes.push_back(update);
+    graph_.BuildRouting();
 
     ctx_ = std::make_unique<MockContext>(&graph_, &program_);
     path_ = std::make_unique<ExecutionPath>();
@@ -241,6 +242,7 @@ class ConditionalGateTest : public ::testing::Test {
     consumer.inputs.push_back(
         EdgeRef{0, 0, EdgeKind::kForward, ShuffleKey::kField0, true});
     graph_.nodes.push_back(consumer);
+    graph_.BuildRouting();
 
     ctx_ = std::make_unique<MockContext>(&graph_, &program_);
     path_ = std::make_unique<ExecutionPath>();

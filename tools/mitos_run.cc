@@ -92,6 +92,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -431,7 +432,18 @@ int main(int argc, char** argv) {
   if (want_drift || !check_against.empty()) pristine_fs = fs;
 
   api::Engine engine_handle(engine, config);
-  auto result = engine_handle.Run(*program, &fs);
+  // --drift-report runs the same Mitos engine twice more, once per backend:
+  // all three runs execute one plan.
+  std::optional<runtime::Plan> plan;
+  if (want_drift) {
+    auto compiled = api::Compile(*program, config);
+    if (!compiled.ok()) {
+      return Fail("run error: " + compiled.status().ToString());
+    }
+    plan = std::move(compiled).value();
+  }
+  auto result = plan ? engine_handle.Execute(*plan, &fs)
+                     : engine_handle.Run(*program, &fs);
   if (!result.ok()) {
     return Fail("run error: " + result.status().ToString());
   }
@@ -517,7 +529,7 @@ int main(int argc, char** argv) {
       side_config.columnar = columnar;
       side_config.trace = side_trace;
       side_config.metrics = side_metrics;
-      return api::Run(engine, *program, &side_fs, side_config);
+      return api::Execute(engine, *plan, &side_fs, side_config);
     };
     obs::TraceRecorder des_trace, threads_trace;
     obs::MetricsRegistry des_metrics, threads_metrics;
@@ -597,12 +609,12 @@ int main(int argc, char** argv) {
   }
   if (!explain_format.empty()) {
     // After the run, so Explain() back-fills measured operator costs.
-    auto plan = engine_handle.Explain(*program);
-    if (!plan.ok()) {
-      return Fail("explain error: " + plan.status().ToString());
+    auto explained = engine_handle.Explain(*program);
+    if (!explained.ok()) {
+      return Fail("explain error: " + explained.status().ToString());
     }
-    std::printf("%s\n", (explain_format == "json" ? plan->ToJson()
-                                                  : plan->ToDot())
+    std::printf("%s\n", (explain_format == "json" ? explained->ToJson()
+                                                   : explained->ToDot())
                             .c_str());
   }
   if (show_files) {
