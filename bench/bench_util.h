@@ -36,8 +36,6 @@ struct BenchContext {
   std::string event_log_out;  // --event-log=FILE (JSONL), "" = off
   obs::analysis::BaselineFile baseline;
   int run_index = 0;
-  // --step-templates=on|off override; -1 = keep each benchmark's default.
-  int step_templates_override = -1;
 };
 
 inline BenchContext& Context() {
@@ -48,7 +46,7 @@ inline BenchContext& Context() {
 // Destination for per-run metrics dumps; empty means disabled.
 inline std::string& MetricsOutPath() { return Context().metrics_out; }
 
-// Benchmarks accept two optional flags:
+// Benchmarks accept three optional flags:
 //   --metrics-out=FILE   append one JSON line {"run","engine","metrics"}
 //                        per RunOrDie invocation (JSON Lines)
 //   --baseline-out=FILE  write a bench-regression baseline (the committed
@@ -56,13 +54,8 @@ inline std::string& MetricsOutPath() { return Context().metrics_out; }
 //                        virtual-time total plus the critical-path
 //                        decomposition from the post-run analyzer. Compare
 //                        two baselines with tools/bench_diff.
-//   --step-templates=on|off  force the Mitos step-template cache on or off
-//                        for every run (default: the engine default, on);
-//                        CI's perf-smoke job uses this to produce the
-//                        on-vs-off baselines bench_diff --no-worse gates.
 //   --event-log=FILE     append every run's live event stream (obs/live/,
-//                        JSONL; steps, decisions, template activity,
-//                        snapshots) to FILE. Observational only — the
+//                        JSONL; steps, decisions, snapshots) to FILE. Observational only — the
 //                        watchdog stays off and virtual time is untouched,
 //                        so baselines match unlogged runs byte for byte.
 //                        CI's perf-smoke job uploads the result as an
@@ -86,10 +79,6 @@ inline void ParseBenchArgs(int argc, char** argv, const char* figure) {
     } else if (arg.rfind(kEventLogPrefix, 0) == 0) {
       context.event_log_out = arg.substr(sizeof(kEventLogPrefix) - 1);
       std::ofstream(context.event_log_out, std::ios::trunc);  // start fresh
-    } else if (arg == "--step-templates=on") {
-      context.step_templates_override = 1;
-    } else if (arg == "--step-templates=off") {
-      context.step_templates_override = 0;
     } else {
       std::fprintf(stderr, "ignoring unknown flag: %s\n", arg.c_str());
     }
@@ -112,8 +101,6 @@ inline api::RunConfig MakeConfig(int machines, double element_scale) {
   // Headers/control messages do not grow with the modelled element size.
   config.cluster.control_message_bytes = static_cast<size_t>(
       std::max(8.0, 64.0 / element_scale));
-  config.cluster.template_control_message_bytes = static_cast<size_t>(
-      std::max(4.0, 16.0 / element_scale));
   // Chunks keep their modelled byte granularity.
   config.cluster.chunk_elements = static_cast<size_t>(
       std::max(64.0, 2048.0 / element_scale));
@@ -131,9 +118,6 @@ inline runtime::RunStats RunOrDie(api::EngineKind engine,
   obs::MetricsRegistry metrics;
   obs::TraceRecorder trace;
   api::RunConfig run_config = config;
-  if (context.step_templates_override >= 0) {
-    run_config.step_templates = context.step_templates_override == 1;
-  }
   const bool want_baseline = !context.baseline_out.empty();
   if (!context.metrics_out.empty() || want_baseline) {
     run_config.metrics = &metrics;

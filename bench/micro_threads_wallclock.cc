@@ -1,30 +1,18 @@
-// First real-CPU numbers for the step-template cache: the ThreadsBackend
-// (thread-per-machine, wall-clock time — runtime/threads_backend.h) runs
-// the fig7-style step-overhead loop with templates on vs off.
-//
-// On the DES the template win is a modelled latency saving: a validated
-// replay skips control-plane round-trips, which cost real network RTTs on
-// a cluster. On a single multicore host those round-trips collapse to
-// ~microsecond cross-thread channel hops, so the honest wall-clock claim
-// this bench makes is PARITY: the template machinery (cache lookups,
-// validation, invalidation bookkeeping on live mutexes) must not make runs
-// SLOWER under real thread contention. The hit counters in the table prove
-// the cache is actually engaging, not silently bypassed.
+// Real-CPU cost of the control plane: the ThreadsBackend (thread-per-machine,
+// wall-clock time — runtime/threads_backend.h) runs the fig7-style
+// step-overhead loop, whose every step is one decision broadcast and a
+// handful of cross-thread channel hops.
 //
 // Method: per configuration, `reps` timed runs; the MINIMUM wall time is
 // reported (the standard estimator for "how fast can this go" under
-// scheduler noise). Element-for-element equivalence of the two modes and
-// the two backends is covered separately by the differential suite in
-// tests/runtime/backend_diff_test.cc.
+// scheduler noise). Element-for-element equivalence with the DES is covered
+// separately by the differential suite in tests/runtime/backend_diff_test.cc.
 //
 // Flags:
 //   --out=FILE   write the table as JSON (the committed
 //                bench/baselines/BENCH_threads_wallclock.json artifact;
 //                wall-clock quantities are host-specific, so bench_diff
 //                never gates on this file)
-//   --check      hard-fail unless templates-on is no worse than off
-//                (within 10%) on every row; used when refreshing the
-//                committed artifact, off in CI where machine noise rules
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,35 +22,27 @@
 #include <vector>
 
 #include "api/engine.h"
-#include "runtime/executor.h"
 #include "common/logging.h"
 #include "workloads/programs.h"
 
 namespace mitos::bench {
 namespace {
 
-double TimedRun(api::BackendKind backend, const lang::Program& program,
-                int machines, bool templates,
-                runtime::RunStats* stats_out = nullptr) {
+double TimedRun(const lang::Program& program, int machines) {
   sim::SimFileSystem fs;
   api::RunConfig config{.machines = machines};
-  config.backend = backend;
-  config.step_templates = templates;
+  config.backend = api::BackendKind::kThreads;
   const auto t0 = std::chrono::steady_clock::now();
   auto result = api::Run(api::EngineKind::kMitos, program, &fs, config);
   const auto t1 = std::chrono::steady_clock::now();
   MITOS_CHECK(result.ok()) << result.status().ToString();
-  if (stats_out != nullptr) *stats_out = result->stats;
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
 struct Row {
   int machines;
   int steps;
-  double off_seconds;  // min over reps, templates off
-  double on_seconds;   // min over reps, templates on
-  int64_t hits = 0;    // template hits in the templates-on runs
-  int64_t misses = 0;
+  double total_seconds;  // min over reps
 };
 
 }  // namespace
@@ -73,13 +53,10 @@ int main(int argc, char** argv) {
   using bench::Row;
 
   std::string out_path;
-  bool check = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(std::strlen("--out="));
-    } else if (arg == "--check") {
-      check = true;
     } else {
       std::fprintf(stderr, "ignoring unknown flag: %s\n", arg.c_str());
     }
@@ -88,41 +65,23 @@ int main(int argc, char** argv) {
   constexpr int kReps = 5;
   std::vector<Row> rows;
   std::printf("--- threads backend (wall clock): fig7 step loop, "
-              "templates on vs off, min of %d reps ---\n",
+              "min of %d reps ---\n",
               kReps);
-  std::printf("%9s %6s %12s %12s %8s %8s %8s\n", "machines", "steps",
-              "off (ms)", "on (ms)", "delta", "hits", "misses");
+  std::printf("%9s %6s %12s %12s\n", "machines", "steps", "total (ms)",
+              "step (us)");
   for (int machines : {4, 8}) {
     for (int steps : {400, 1600}) {
       lang::Program program = workloads::StepOverheadProgram(steps);
-      Row row{machines, steps, 1e300, 1e300};
-      // Alternate modes within each rep so drift (thermal, other load)
-      // hits both sides evenly.
+      Row row{machines, steps, 1e300};
       for (int rep = 0; rep < kReps; ++rep) {
-        row.off_seconds = std::min(
-            row.off_seconds, bench::TimedRun(api::BackendKind::kThreads,
-                                             program, machines, false));
-        runtime::RunStats stats;
-        row.on_seconds = std::min(
-            row.on_seconds, bench::TimedRun(api::BackendKind::kThreads,
-                                            program, machines, true,
-                                            &stats));
-        row.hits = stats.template_hits;
-        row.misses = stats.template_misses;
+        row.total_seconds =
+            std::min(row.total_seconds, bench::TimedRun(program, machines));
       }
-      MITOS_CHECK(row.hits > 0) << "templates-on run recorded no hits";
-      std::printf("%9d %6d %12.2f %12.2f %+7.1f%% %8lld %8lld\n", machines,
-                  steps, row.off_seconds * 1e3, row.on_seconds * 1e3,
-                  100.0 * (row.on_seconds / row.off_seconds - 1.0),
-                  static_cast<long long>(row.hits),
-                  static_cast<long long>(row.misses));
+      std::printf("%9d %6d %12.2f %12.2f\n", machines, steps,
+                  row.total_seconds * 1e3, row.total_seconds * 1e6 / steps);
       rows.push_back(row);
     }
   }
-  std::printf("(delta = on/off - 1; on one multicore host the modelled "
-              "control-plane\n round-trips are ~us channel hops, so the "
-              "expectation is parity: the\n template cache must engage — "
-              "hits > 0 — without costing wall time)\n");
 
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
@@ -133,30 +92,16 @@ int main(int argc, char** argv) {
         << " \"entries\":[\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
-      char line[256];
+      char line[160];
       std::snprintf(line, sizeof line,
                     "{\"key\":\"fig7/m%d/s%d\",\"machines\":%d,"
-                    "\"steps\":%d,\"off_seconds\":%.6f,"
-                    "\"on_seconds\":%.6f,\"template_hits\":%lld,"
-                    "\"template_misses\":%lld}",
-                    r.machines, r.steps, r.machines, r.steps, r.off_seconds,
-                    r.on_seconds, static_cast<long long>(r.hits),
-                    static_cast<long long>(r.misses));
+                    "\"steps\":%d,\"total_seconds\":%.6f}",
+                    r.machines, r.steps, r.machines, r.steps,
+                    r.total_seconds);
       out << line << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     out << "]}\n";
     std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (check) {
-    for (const Row& r : rows) {
-      MITOS_CHECK(r.on_seconds <= r.off_seconds * 1.10)
-          << "templates-on slower than off under threads: m=" << r.machines
-          << " steps=" << r.steps << " off=" << r.off_seconds
-          << "s on=" << r.on_seconds << "s";
-    }
-    std::printf("check passed: templates-on no worse than off (10%% "
-                "tolerance) on every row\n");
   }
   return 0;
 }

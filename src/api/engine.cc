@@ -45,7 +45,6 @@ runtime::ExecutorOptions MitosOptions(EngineKind engine,
   options.launch_base = config.mitos_launch_base;
   options.launch_per_machine = config.mitos_launch_per_machine;
   options.max_path_len = config.max_path_len;
-  options.step_templates = config.step_templates;
   options.columnar = config.columnar;
   options.trace = config.trace;
   options.metrics = config.metrics;

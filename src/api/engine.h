@@ -86,12 +86,7 @@ struct RunConfig {
   bool flink_strict = false;
   // Elementwise operator fusion for the Mitos engines (ir/fusion.h).
   bool mitos_operator_fusion = false;
-  // Step-template control-plane caching for the Mitos engines
-  // (runtime/step_template.h): validated replay of per-step bag-id /
-  // input-choice / routing decisions across structurally identical loop
-  // iterations. On by default (it preserves results exactly and only
-  // lowers per-step overhead); `mitos_run --step-templates=off` or this
-  // flag disable it for ablations.
+  // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:209.
   bool step_templates = true;
   // Columnar chunk plane for the Mitos engines (common/chunk.h). Off keeps
   // every chunk a boxed DatumVector end to end — the pre-batching data
@@ -111,7 +106,7 @@ struct RunConfig {
   obs::MetricsRegistry* metrics = nullptr;
 
   // Live observability plane (obs/live/): a streaming event log (JSONL
-  // records for steps, decisions, template activity, faults, recovery,
+  // records for steps, decisions, faults, recovery,
   // checkpoints), periodic in-run metrics snapshots, a step-level stall
   // watchdog, and a progress callback. All default-off and observational:
   // the run's virtual-time behavior (trace, stats, outputs) is

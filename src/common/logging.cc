@@ -27,9 +27,11 @@ int ParseLogLevel(const char* value) {
   }
 }
 
-// The attached virtual clock (the simulator of the engine run in flight).
-const void* g_clock_ctx = nullptr;
-double (*g_clock_fn)(const void*) = nullptr;
+// The clock attached on this thread (the backend of the engine run this
+// thread drives or works for). Per thread, so concurrent runs never read
+// or clear each other's clock.
+thread_local const void* g_clock_ctx = nullptr;
+thread_local double (*g_clock_fn)(const void*) = nullptr;
 
 }  // namespace
 

@@ -11,9 +11,9 @@
 //   MITOS_LOG_LEVEL=info|warning|error|fatal (or 0-3): minimum severity
 //       printed. Default: warning. FATAL always prints and aborts.
 //   MITOS_VLOG=N: print MITOS_VLOG(n) for n <= N. Default 0 (off).
-// When a simulator is attached (sim registers its clock via
-// AttachLogClock; api::Run does this for every engine run), log lines are
-// stamped with the *virtual* time, e.g. "[MITOS I 1.204s]".
+// When a run's clock is attached to the logging thread (api::Run does this
+// on its calling thread, and every ThreadsBackend worker on its own), log
+// lines are stamped with the run's time, e.g. "[MITOS I 1.204s]".
 #ifndef MITOS_COMMON_LOGGING_H_
 #define MITOS_COMMON_LOGGING_H_
 
@@ -33,13 +33,14 @@ int MinLogLevel();
 // Verbosity for MITOS_VLOG, cached from MITOS_VLOG.
 int VlogVerbosity();
 
-// Virtual-clock hook: when attached, log lines carry virtual seconds.
-// `now` must be a capture-free callable; `ctx` identifies the owner so a
-// stale detach (from a different simulator) is a no-op.
+// Run-clock hook, per thread: when attached, log lines written on this
+// thread carry the clock's seconds. `now` must be a capture-free callable;
+// `ctx` identifies the owner so a stale detach (from a different backend)
+// is a no-op.
 void AttachLogClock(const void* ctx, double (*now)(const void*));
 void DetachLogClock(const void* ctx);
-// True when a clock is attached; *seconds receives the current virtual
-// time.
+// True when a clock is attached on this thread; *seconds receives its
+// current time.
 bool VirtualNow(double* seconds);
 
 // Accumulates one log line and writes it to stderr when destroyed;

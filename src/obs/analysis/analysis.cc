@@ -109,15 +109,6 @@ class Analyzer {
     size_t seq = 0;
     for (const TraceEvent& event : trace_.events()) {
       const size_t my_seq = seq++;
-      if (event.phase == 'i' && std::string(event.cat) == "template") {
-        ++result_.template_hits;
-        for (const TraceArg& arg : event.args) {
-          if (arg.key == "saved_cpu") {
-            result_.template_saved_seconds += arg.double_value;
-          }
-        }
-        continue;
-      }
       if (event.phase != 'X') continue;
       const double end = event.ts + event.dur;
       if (event.pid == kEnginePid) {
@@ -498,15 +489,6 @@ std::string RunAnalysis::ToString() const {
   top(by_operator, "top operators on the critical path:\n");
   top(by_bag, "top bags (operator × path-prefix) on the critical path:\n");
 
-  if (template_hits > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "step templates: %lld replayed bag(s), ~%.6fs of "
-                  "control-plane CPU saved\n",
-                  static_cast<long long>(template_hits),
-                  template_saved_seconds);
-    out += buf;
-  }
-
   if (!steps.empty()) {
     out +=
         "per-step critical path (s):\n"
@@ -567,9 +549,7 @@ std::string RunAnalysis::ToJson() const {
   out += ",\"num_machines\":" + std::to_string(num_machines);
   out += ",\"clock\":\"";
   out += wall_clock ? "wall" : "virtual";
-  out += "\",\"template_hits\":" + std::to_string(template_hits);
-  out += ",\"template_saved_seconds\":";
-  AppendDouble(&out, template_saved_seconds);
+  out += '"';
 
   out += ",\"decomposition\":{";
   bool first = true;

@@ -127,13 +127,6 @@ struct RunAnalysis {
   double busy_imbalance = 1;
   int busiest_machine = -1;
 
-  // Step-template cache (cat "template" instants): bags instantiated from
-  // a cached step template and the control-plane CPU those replays saved
-  // (attributed here because saved time never shows up on the critical
-  // path — the decomposition only contains time that was actually spent).
-  int64_t template_hits = 0;
-  double template_saved_seconds = 0;
-
   double DecompositionSeconds(const std::string& kind) const;
 
   // Human-readable report (mitos_run --report).

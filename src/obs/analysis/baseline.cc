@@ -93,22 +93,6 @@ StatusOr<BaselineFile> BaselineFile::Parse(const std::string& json_text) {
         if (value.is_number()) entry.decomposition[kind] = value.number();
       }
     }
-    // Wall-clock benches (bench/micro_threads_wallclock.cc) record one
-    // templates-off and one templates-on measurement per run instead of a
-    // single total. Expand those into "<key>/off" and "<key>/on" entries
-    // so Compare() can match them key by key.
-    if (item.Find("total_seconds") == nullptr &&
-        item.Find("off_seconds") != nullptr &&
-        item.Find("on_seconds") != nullptr) {
-      BaselineEntry on = entry;
-      entry.key += "/off";
-      entry.total_seconds = item.NumberOr("off_seconds", 0);
-      on.key += "/on";
-      on.total_seconds = item.NumberOr("on_seconds", 0);
-      file.entries.push_back(std::move(entry));
-      file.entries.push_back(std::move(on));
-      continue;
-    }
     entry.total_seconds = item.NumberOr("total_seconds", 0);
     file.entries.push_back(std::move(entry));
   }

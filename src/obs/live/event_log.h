@@ -18,8 +18,7 @@
 // so wall_ms is monotone non-decreasing in record order even when machine
 // worker threads race to append (threads backend). Kinds
 // emitted by the runtime: run_begin, run_end, step_begin, step_end,
-// decision, template_hit, template_invalidation, fault, recovery,
-// checkpoint, snapshot, watchdog_stall.
+// decision, fault, recovery, checkpoint, snapshot, watchdog_stall.
 //
 // The log is internally synchronized: on the real-parallel threads
 // backend (runtime/threads_backend.h) machine worker threads append

@@ -28,8 +28,6 @@ struct Progress {
   int step = 0;      // completed control-flow decisions
   int path_len = 0;  // execution-path length
   int attempt = 1;   // execution attempt (>1 during fault recovery)
-  int64_t template_hits = 0;
-  int64_t template_misses = 0;
   int64_t faults_seen = 0;  // dropped messages + machines currently down
   bool complete = false;
 };

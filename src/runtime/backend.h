@@ -2,7 +2,7 @@
 // authority, executor) needs from "the machines" — CPU execution, network
 // transfers, disk I/O, a clock, and a quiescence barrier — behind one
 // interface, so the same operator kernels, PathAuthority decisions, and
-// step templates run on either substrate:
+// control plane run on either substrate:
 //
 //   * DesBackend (this header) delegates to sim::Simulator + sim::Cluster:
 //     the deterministic discrete-event oracle. Virtual time is the product;

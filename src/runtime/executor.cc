@@ -33,13 +33,6 @@ std::string RunStats::ToString() const {
         << " replayed=" << replayed_bags;
   }
   if (checkpoints > 0) out << " ckpt=" << checkpoints;
-  // Template fields only when the cache did anything, so template-off
-  // stats lines are unchanged.
-  if (template_hits > 0 || template_invalidations > 0) {
-    out << " tmpl_hits=" << template_hits
-        << " tmpl_miss=" << template_misses
-        << " tmpl_inval=" << template_invalidations;
-  }
   if (cluster.dropped_messages > 0) {
     out << " dropped=" << cluster.dropped_messages;
   }
@@ -73,12 +66,6 @@ class Job : public RuntimeContext {
     watchdog_ = watchdog;
     recovery_ = recovery;
     attempt_ = attempt;
-    // Fault injection disables template replay wholesale: recovery depends
-    // on full-fidelity control messages and freshly derived step state, and
-    // every attempt starts with a cold cache anyway. Faulted runs are
-    // therefore event-identical to step_templates=false (regression-tested
-    // in tests/runtime/step_template_test.cc).
-    templates_on_ = options.step_templates && faults_ == nullptr;
   }
 
   StatusOr<RunStats> Execute() {
@@ -107,7 +94,6 @@ class Job : public RuntimeContext {
     auth_options.pipelining = options_.pipelining;
     auth_options.decision_overhead = options_.decision_overhead;
     auth_options.max_path_len = options_.max_path_len;
-    auth_options.step_templates = templates_on_;
     auth_options.trace = trace();
     auth_options.metrics = options_.metrics;
     auth_options.elements_probe = [this] { return elements_.load(); };
@@ -265,9 +251,6 @@ class Job : public RuntimeContext {
     stats.recomputed_bags = recomputed_bags_.load();
     stats.replayed_bags = replayed_bags_.load();
     stats.checkpoints = checkpoints_;
-    stats.template_hits = template_hits_.load();
-    stats.template_misses = template_misses_.load();
-    stats.template_invalidations = authority_->template_invalidations();
 
     if (obs::TraceRecorder* tr = trace()) {
       int lane = tr->Lane(obs::kEnginePid, "jobs");
@@ -285,12 +268,6 @@ class Job : public RuntimeContext {
       mr->Inc("chunks", stats.chunks);
       mr->Inc("chunk_fallback", stats.chunk_fallbacks);
       mr->Inc("hoisted_reuses", stats.hoisted_reuses);
-      if (templates_on_) {
-        mr->Inc("step_template_hits", stats.template_hits);
-        mr->Inc("step_template_misses", stats.template_misses);
-        mr->Inc("step_template_invalidations",
-                stats.template_invalidations);
-      }
       mr->Observe("job_launch_seconds", launch);
       mr->Observe("job_seconds", stats.total_seconds);
     }
@@ -307,23 +284,6 @@ class Job : public RuntimeContext {
   bool hoisting() const override { return options_.hoisting; }
   bool blocking_shuffles() const override {
     return options_.blocking_shuffles;
-  }
-  bool step_templates() const override { return templates_on_; }
-  bool validate_templates() const override {
-    return options_.validate_templates;
-  }
-  void CountTemplateHit(dataflow::NodeId node, int instance,
-                        int path_len) override {
-    template_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::live::EventLog* elog = options_.live.event_log) {
-      elog->Append(backend_->now(), "template_hit",
-                   {{"node", graph_.node(node).name},
-                    {"instance", instance},
-                    {"path_len", path_len}});
-    }
-  }
-  void CountTemplateMiss() override {
-    template_misses_.fetch_add(1, std::memory_order_relaxed);
   }
   obs::TraceRecorder* trace() const override {
     return options_.trace != nullptr ? options_.trace : backend_->trace();
@@ -483,11 +443,6 @@ class Job : public RuntimeContext {
   int64_t recomputed_bags() const { return recomputed_bags_.load(); }
   int64_t replayed_bags() const { return replayed_bags_.load(); }
   int checkpoints() const { return checkpoints_; }
-  int64_t template_hits() const { return template_hits_.load(); }
-  int64_t template_misses() const { return template_misses_.load(); }
-  int64_t template_invalidations() const {
-    return authority_ != nullptr ? authority_->template_invalidations() : 0;
-  }
 
  private:
   bool JobDone() const {
@@ -565,8 +520,6 @@ class Job : public RuntimeContext {
       p.step = step;
       p.path_len = path_.size();
       p.attempt = attempt_;
-      p.template_hits = template_hits_.load();
-      p.template_misses = template_misses_.load();
       p.faults_seen = options_.live.event_log != nullptr
                           ? options_.live.event_log->CountKind("fault")
                           : 0;
@@ -674,12 +627,6 @@ class Job : public RuntimeContext {
   std::atomic<int64_t> recomputed_bags_{0};
   std::atomic<int64_t> replayed_bags_{0};
   int checkpoints_ = 0;
-  // Step-template tallies (fed by the hosts through RuntimeContext).
-  // templates_on_ is options_.step_templates resolved against the fault
-  // plan (replay is disabled wholesale under fault injection).
-  bool templates_on_ = false;
-  std::atomic<int64_t> template_hits_{0};
-  std::atomic<int64_t> template_misses_{0};
 };
 
 }  // namespace
@@ -723,9 +670,6 @@ StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
   int64_t recomputed = 0;
   int64_t replayed = 0;
   int checkpoints = 0;
-  int64_t template_hits = 0;
-  int64_t template_misses = 0;
-  int64_t template_invalidations = 0;
   for (int attempt = 1; attempt <= plan.max_attempts; ++attempt) {
     if (attempt > 1) {
       recovery.BeginNextAttempt(
@@ -768,9 +712,6 @@ StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
       stats.recomputed_bags += recomputed;
       stats.replayed_bags += replayed;
       stats.checkpoints += checkpoints;
-      stats.template_hits += template_hits;
-      stats.template_misses += template_misses;
-      stats.template_invalidations += template_invalidations;
       // Resource deltas span every attempt (wasted work is real work).
       const sim::ClusterMetrics& after = cluster->metrics();
       stats.cluster.messages = after.messages - before.messages;
@@ -798,9 +739,6 @@ StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
     recomputed += job.recomputed_bags();
     replayed += job.replayed_bags();
     checkpoints += job.checkpoints();
-    template_hits += job.template_hits();
-    template_misses += job.template_misses();
-    template_invalidations += job.template_invalidations();
     MITOS_VLOG(1) << "attempt " << attempt
                   << " failed: " << last_error.ToString();
     if (options.trace != nullptr) {

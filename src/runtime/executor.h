@@ -53,16 +53,8 @@ struct ExecutorOptions {
   // path proves dead (Sec. 5.2.4). Off = ablation (memory grows with the
   // iteration count).
   bool discard_spent_bags = true;
-  // Step-template control-plane caching (runtime/step_template.h):
-  // validated replay of per-step bag-id resolution, input/output choice,
-  // and routing decisions across structurally identical loop iterations.
-  // Off by default so baselines and direct ExecuteJob users keep their
-  // exact virtual-time behavior; api::Engine enables it for the Mitos
-  // engines (api::RunConfig::step_templates).
+  // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:209.
   bool step_templates = false;
-  // Paranoid mode: cross-check every template replay against the slow-path
-  // computation and fail the job (Status::Internal) on any mismatch.
-  bool validate_templates = false;
   // Fuse same-block single-consumer elementwise chains into one operator
   // (Flink/Spark-style chaining; ir/fusion.h). Opt-in: kept off by default
   // so the dataflow graph matches the paper's one-node-per-assignment
@@ -112,10 +104,9 @@ struct RunStats {
   int64_t recomputed_bags = 0;  // lost bags recomputed during recovery
   int64_t replayed_bags = 0;    // surviving bags replayed at zero cost
   int checkpoints = 0;          // durable checkpoints taken
-  // Step-template cache (all zero with step templates off).
-  int64_t template_hits = 0;           // bags instantiated from a template
-  int64_t template_misses = 0;         // occurrences that took the slow path
-  int64_t template_invalidations = 0;  // cached step shapes contradicted
+  // Always 0; kept only for bench/ledger/mitos_bench_traced.cc:585-586.
+  int64_t template_hits = 0;
+  int64_t template_misses = 0;
   // Busy-CPU seconds per logical operator (summed over instances), by the
   // operator's SSA variable name. A cheap profiler for finding the
   // bottleneck stage of a pipeline.

@@ -17,11 +17,6 @@ using dataflow::ShuffleKey;
 // per-element cost.
 constexpr double kBookkeepingElements = 5.0;
 
-// Bookkeeping charge for a bag instantiated from a step template: the
-// bag-id resolution, input/output choice, and routing work is replayed
-// from the cache, leaving only the validate-and-instantiate token.
-constexpr double kTemplatedBookkeepingElements = 1.0;
-
 // Bit `i` of a per-input mask; inputs past 64 never have it set (only a
 // join's build side, input 0, is ever hoisted).
 bool MaskBit(uint64_t mask, size_t i) { return i < 64 && (mask >> i & 1); }
@@ -128,7 +123,7 @@ void BagOperatorHost::OnPathAppend(int pos, ir::BlockId block) {
   // take references that protect cached bags it still needs (a Φ created at
   // this occurrence may choose a bag this very occurrence supersedes).
   if (block == node_->block) {
-    OnBlockOccurrence(pos);
+    CreateOutBag(pos + 1);
   }
 
   // Cached input bags from this producer block are superseded by the new
@@ -175,83 +170,13 @@ int BagOperatorHost::ChooseInput(int i, int len) const {
   return cfm_->LongestPrefixEndingWith(input.producer_block, max_len);
 }
 
-void BagOperatorHost::ComputeInputLengths(int len,
-                                          std::vector<int>* lens) const {
-  lens->resize(inputs_.size());
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    (*lens)[i] = ChooseInput(static_cast<int>(i), len);
-  }
-}
-
-void BagOperatorHost::OnBlockOccurrence(int pos) {
-  const int path_len = pos + 1;
-  if (!ctx_->step_templates()) {
-    CreateOutBag(path_len);
-    return;
-  }
-  StepMeta meta;
-  if (!cfm_->step_meta(pos, &meta)) {
-    // Cannot happen from a path listener (the position is known by
-    // definition); stay safe and take the slow path.
-    CreateOutBag(path_len);
-    return;
-  }
-  const int period = step_template_.period();
-  if (step_template_.ReplayCandidate(pos, meta) &&
-      cfm_->SegmentsEqual(pos - period + 1, pos - 2 * period + 1, period)) {
-    // Validate-then-instantiate: the authority vouched for the step shape
-    // (meta.replayable), the spacing matches, and the last two
-    // period-length path segments are block-for-block equal — so the
-    // cached input classification predicts exactly what the backward
-    // scans would compute.
-    std::vector<int>& lens = lens_;
-    step_template_.PredictLengths(&lens);
-    if (ctx_->validate_templates()) {
-      std::vector<int> truth;
-      ComputeInputLengths(path_len, &truth);
-      if (truth != lens) {
-        std::string detail;
-        for (size_t i = 0; i < lens.size(); ++i) {
-          detail += (i ? "," : "") + std::to_string(lens[i]) + "!=" +
-                    std::to_string(truth[i]);
-        }
-        ctx_->Fail(Status::Internal(
-            "step-template replay mismatch for " + node_->name + "[" +
-            std::to_string(instance_) + "] at path length " +
-            std::to_string(path_len) + " (predicted!=true: " + detail +
-            ")"));
-        return;
-      }
-    }
-    step_template_.CommitReplay(pos);
-    ctx_->CountTemplateHit(node_->id, instance_, path_len);
-    if (obs::TraceRecorder* tr = ctx_->trace()) {
-      tr->Instant(obs::MachinePid(machine_), TraceLane(), "template-replay",
-                  "template", ctx_->backend()->now(),
-                  {{"path_len", path_len},
-                   {"period", period},
-                   {"saved_cpu",
-                    2 * (kBookkeepingElements - kTemplatedBookkeepingElements) *
-                        PerElementCost()}});
-    }
-    CreateOutBagFromLengths(path_len, lens, /*templated=*/true);
-    return;
-  }
-  ctx_->CountTemplateMiss();
-  ComputeInputLengths(path_len, &lens_);
-  step_template_.Observe(pos, meta, lens_);
-  CreateOutBagFromLengths(path_len, lens_, /*templated=*/false);
-}
-
 void BagOperatorHost::CreateOutBag(int path_len) {
-  ComputeInputLengths(path_len, &lens_);
-  CreateOutBagFromLengths(path_len, lens_, /*templated=*/false);
-}
-
-void BagOperatorHost::CreateOutBagFromLengths(int path_len,
-                                              const std::vector<int>& lens,
-                                              bool templated) {
   const size_t n = inputs_.size();
+  std::vector<int>& lens = lens_;
+  lens.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    lens[i] = ChooseInput(static_cast<int>(i), path_len);
+  }
   int best_input = -1;
   int best_len = 0;
   if (node_->kind == NodeKind::kPhi) {
@@ -284,7 +209,6 @@ void BagOperatorHost::CreateOutBagFromLengths(int path_len,
   // A recycled slot: reset every field, reusing the vectors' capacity.
   OutBag& bag = out_bags_.PushSlot();
   bag.path_len = path_len;
-  bag.templated = templated;
   // Recovery replay: this bag's output survived a failed attempt, so the
   // kernel re-runs over the real data (reconstructing state exactly) but
   // charges no CPU and uses memory-speed I/O.
@@ -450,10 +374,8 @@ void BagOperatorHost::TryFeed() {
         }
       }
     }
-    const double open_elements = bag.templated ? kTemplatedBookkeepingElements
-                                               : kBookkeepingElements;
     WorkItem open;
-    open.cpu = bag.replay ? 0 : open_elements * PerElementCost();
+    open.cpu = bag.replay ? 0 : kBookkeepingElements * PerElementCost();
     open.phase = Phase::kOpen;
     open.bag_len = bag.path_len;
     open.reuse = bag.reuse;
@@ -510,9 +432,7 @@ void BagOperatorHost::TryFeed() {
 }
 
 void BagOperatorHost::EnqueueFinish(OutBag& bag) {
-  double cpu = (bag.templated ? kTemplatedBookkeepingElements
-                              : kBookkeepingElements) *
-               PerElementCost();
+  double cpu = kBookkeepingElements * PerElementCost();
   if (node_->kind == NodeKind::kBagLit) {
     cpu += static_cast<double>(node_->literal.size()) * PerElementCost();
   }

@@ -72,22 +72,6 @@ class RuntimeContext {
   // Execution-trace recorder; nullptr when tracing is disabled.
   virtual obs::TraceRecorder* trace() const = 0;
 
-  // Step-template caching (runtime/step_template.h). Defaulted off so
-  // existing direct users of ExecuteJob are untouched.
-  virtual bool step_templates() const { return false; }
-  // Paranoid mode: every template replay is cross-checked against the
-  // slow-path computation; a mismatch fails the job with Status::Internal.
-  virtual bool validate_templates() const { return false; }
-  // A template replay/miss on `node`'s `instance` for the bag at
-  // `path_len` (the executor counts these and feeds the live event log).
-  virtual void CountTemplateHit(dataflow::NodeId node, int instance,
-                                int path_len) {
-    (void)node;
-    (void)instance;
-    (void)path_len;
-  }
-  virtual void CountTemplateMiss() {}
-
   virtual BagOperatorHost* host(dataflow::NodeId node, int instance) = 0;
   virtual int MachineOf(dataflow::NodeId node, int instance) const = 0;
 
@@ -227,9 +211,6 @@ class BagOperatorHost {
     bool opened = false;
     bool finish_enqueued = false;
     bool replay = false;  // survived a failed attempt: zero-cost re-run
-    // Created by a step-template replay: the open/finish bookkeeping that
-    // re-derives bag ids and routing is skipped (reduced CPU charge).
-    bool templated = false;
     int64_t elements_in = 0;
     double t_open = 0;  // virtual time processing started (tracing)
   };
@@ -262,18 +243,11 @@ class BagOperatorHost {
   // ----- path events -----
   void OnPathAppend(int pos, ir::BlockId block);
   void OnPathComplete();
-  // The path reached this operator's block at position `pos`: replay the
-  // step template when it validates, otherwise compute input choices the
-  // slow way and feed the template.
-  void OnBlockOccurrence(int pos);
+  // The path reached this operator's block: open the output bag with
+  // prefix `path_len`, choosing each input by the longest-prefix rule.
   void CreateOutBag(int path_len);
-  void CreateOutBagFromLengths(int path_len, const std::vector<int>& lens,
-                               bool templated);
   // Longest-prefix rule (5.2.3) for input `i` of a bag with prefix `len`.
   int ChooseInput(int i, int len) const;
-  // True per-input longest-prefix lengths for a bag with prefix `len`
-  // (including non-best Φ inputs — the template classifies all of them).
-  void ComputeInputLengths(int len, std::vector<int>* lens) const;
 
   // ----- processing -----
   void TryFeed();
@@ -333,7 +307,6 @@ class BagOperatorHost {
   std::unique_ptr<dataflow::BagOperator> kernel_;
   std::vector<InputState> inputs_;
   const std::vector<OutEdgeInfo>& out_edges_;
-  HostStepTemplate step_template_;
 
   RingBuffer<OutBag> out_bags_;
   // pending_sends_[0, live_sends_) in creation order; the rest are spares.

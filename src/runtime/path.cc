@@ -6,7 +6,7 @@
 
 namespace mitos::runtime {
 
-void ExecutionPath::Append(ir::BlockId block, StepMeta meta) {
+void ExecutionPath::Append(ir::BlockId block) {
   MITOS_CHECK_GE(block, 0);
   const int pos = size();
   // The occurrence record is published before the entry that makes `pos`
@@ -16,7 +16,7 @@ void ExecutionPath::Append(ir::BlockId block, StepMeta meta) {
     occurrences_.Commit();
   }
   occurrences_.Mutable(block).push_back(pos);
-  entries_.push_back(Entry{block, meta});
+  entries_.push_back(block);
 }
 
 int ExecutionPath::LongestPrefixEndingWith(ir::BlockId block,
@@ -40,27 +40,13 @@ int ExecutionPath::LongestPrefixEndingWith(ir::BlockId block,
   return lo == 0 ? 0 : occ[lo - 1] + 1;
 }
 
-bool ExecutionPath::SegmentsEqual(int a_start, int b_start, int len) const {
-  const int n = size();
-  if (len < 0 || a_start < 0 || b_start < 0 || a_start + len > n ||
-      b_start + len > n) {
-    return false;
-  }
-  for (int k = 0; k < len; ++k) {
-    if (entries_[a_start + k].block != entries_[b_start + k].block) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string ExecutionPath::ToString() const {
   const int n = size();
   std::ostringstream out;
   out << '[';
   for (int i = 0; i < n; ++i) {
     if (i > 0) out << ' ';
-    out << entries_[i].block;
+    out << entries_[i];
   }
   out << (complete() ? "] (complete)" : "]");
   return out.str();
@@ -276,24 +262,7 @@ void PathAuthority::AppendChain(ir::BlockId block, int machine,
     break;
   }
 
-  // Every position of a step's chain carries the same template metadata;
-  // the initial (job-start) seed is never a cached step.
-  StepMeta meta;
-  if (options_.step_templates && !initial) {
-    const int64_t invalidations_before = tracker_.invalidations();
-    meta = tracker_.OnStep(pending_step_.block, pending_step_.value, chain);
-    if (options_.event_log != nullptr &&
-        tracker_.invalidations() > invalidations_before) {
-      options_.event_log->Append(backend_->now(),
-                                 "template_invalidation",
-                                 {{"step", decisions_ - 1},
-                                  {"block", pending_step_.block},
-                                  {"value", pending_step_.value},
-                                  {"path_len", path_->size()}});
-    }
-  }
-  last_step_replayable_ = !initial && meta.replayable;
-  for (ir::BlockId b : chain) path_->Append(b, meta);
+  for (ir::BlockId b : chain) path_->Append(b);
   if (complete) path_->MarkComplete();
   Broadcast(machine, initial);
 }
@@ -341,24 +310,12 @@ void PathAuthority::Broadcast(int from_machine, bool initial) {
   const int new_len = path_->size();
   const bool complete = path_->complete();
 
-  // A replayable step needs no decision metadata on the wire — receivers
-  // validate against their cached template — so its broadcast shrinks to
-  // the template acknowledgment size. Fault handling keeps full messages
-  // (the ack/retry protocol carries the complete step either way).
-  const bool templated = last_step_replayable_ && options_.faults == nullptr;
-
-  auto do_broadcast = [this, new_len, complete, from_machine, initial,
-                       templated] {
+  auto do_broadcast = [this, new_len, complete, from_machine, initial] {
     if (options_.trace != nullptr || options_.metrics != nullptr ||
         options_.event_log != nullptr || options_.on_step) {
       RecordStep(initial);
     }
-    if (templated && options_.metrics != nullptr) {
-      options_.metrics->Inc("templated_broadcasts");
-    }
-    const size_t bytes = templated
-                             ? backend_->config().template_control_message_bytes
-                             : backend_->config().control_message_bytes;
+    const size_t bytes = backend_->config().control_message_bytes;
     for (int m = 0; m < static_cast<int>(managers_.size()); ++m) {
       ControlFlowManager* manager = managers_[static_cast<size_t>(m)];
       if (m == from_machine) {

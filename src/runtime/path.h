@@ -36,7 +36,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/backend.h"
-#include "runtime/step_template.h"
 #include "sim/cluster.h"
 
 namespace mitos::runtime {
@@ -124,7 +123,7 @@ class AppendOnlyArray {
 // appends from whichever machine hosted the deciding condition node);
 // every machine's manager reads concurrently, and on the threads backend
 // those are different OS threads. Publication rule: Append() writes the
-// block, its StepMeta and the block's occurrence record, then publishes
+// block and the block's occurrence record, then publishes
 // the new length with a release store; MarkComplete() release-stores the
 // flag after the last append. A reader only reads positions below a length
 // it learned with an acquire load (size(), or the length a path broadcast
@@ -140,17 +139,9 @@ class ExecutionPath {
   ir::BlockId at(int pos) const {
     MITOS_CHECK_GE(pos, 0);
     MITOS_CHECK_LT(pos, size());
-    return entries_[pos].block;
+    return entries_[pos];
   }
-  void Append(ir::BlockId block, StepMeta meta = {});
-
-  // Step-template metadata stamped by the authority at append time
-  // (runtime/step_template.h).
-  StepMeta meta(int pos) const {
-    MITOS_CHECK_GE(pos, 0);
-    MITOS_CHECK_LT(pos, size());
-    return entries_[pos].meta;
-  }
+  void Append(ir::BlockId block);
 
   bool complete() const { return complete_.load(std::memory_order_acquire); }
   void MarkComplete() { complete_.store(true, std::memory_order_release); }
@@ -159,20 +150,12 @@ class ExecutionPath {
   // `block`; 0 if none (Sec. 5.2.3's input-choice rule).
   int LongestPrefixEndingWith(ir::BlockId block, int max_len) const;
 
-  // Block-for-block equality of the segments [a_start, a_start + len) and
-  // [b_start, b_start + len); false when either is out of range.
-  bool SegmentsEqual(int a_start, int b_start, int len) const;
-
   std::string ToString() const;
 
  private:
-  struct Entry {
-    ir::BlockId block = ir::kNoBlock;
-    StepMeta meta;
-  };
   using Positions = AppendOnlyArray<int, 4>;
 
-  AppendOnlyArray<Entry, 6> entries_;
+  AppendOnlyArray<ir::BlockId, 6> entries_;
   // Indexed by block id: the positions where that block occurs.
   AppendOnlyArray<Positions, 3> occurrences_;
   std::atomic<bool> complete_{false};
@@ -198,23 +181,6 @@ class ControlFlowManager {
   int LongestPrefixEndingWith(ir::BlockId block, int max_len) const {
     return path_->LongestPrefixEndingWith(block,
                                           std::min(max_len, known_len_));
-  }
-
-  // Step-template metadata of a known position; false when `pos` is not
-  // yet known to this machine (hosts then take the slow path).
-  bool step_meta(int pos, StepMeta* out) const {
-    if (pos < 0 || pos >= known_len_) return false;
-    *out = path_->meta(pos);
-    return true;
-  }
-
-  // Segment equality restricted to the known path prefix (template
-  // validation); false for anything not yet known here.
-  bool SegmentsEqual(int a_start, int b_start, int len) const {
-    if (a_start + len > known_len_ || b_start + len > known_len_) {
-      return false;
-    }
-    return path_->SegmentsEqual(a_start, b_start, len);
   }
 
   // `fn(pos, block)` fires once per newly-known position, in order.
@@ -257,20 +223,14 @@ class PathAuthority {
     double decision_overhead = 0.0;
     // Runaway-loop guard.
     int max_path_len = 1'000'000;
-    // Step-template caching (runtime/step_template.h): stamp every path
-    // position with template metadata and shrink the broadcast for
-    // replayable steps to template_control_message_bytes (the receivers
-    // validate against cached state instead of full decision metadata).
-    bool step_templates = false;
     // Observability (both optional; see src/obs/). The recorder gets one
     // instant event per control-flow decision plus a per-step span on the
     // engine process; the registry gets one StepRecord per decision.
     obs::TraceRecorder* trace = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
     // Live observability (obs/live/, all optional). The event log gets one
-    // "decision" record per control-flow decision, "step_begin"/"step_end"
-    // records bracketing every step, and "template_invalidation" records
-    // when a cached step shape is contradicted. `on_step` fires at every
+    // "decision" record per control-flow decision and "step_begin"/
+    // "step_end" records bracketing every step. `on_step` fires at every
     // broadcast (step_index = the completed 0-based decision, -1 for the
     // initial path seed) — the executor drives snapshots, the watchdog,
     // and progress reporting from it. Both are observational only.
@@ -309,11 +269,6 @@ class PathAuthority {
 
   const ExecutionPath& path() const { return *path_; }
   int decisions() const { return decisions_; }
-  // Times a cached step shape was contradicted by a decision (0 with
-  // step templates off).
-  int64_t template_invalidations() const {
-    return tracker_.invalidations();
-  }
 
  private:
   // Appends `block` and everything that unconditionally follows it; then
@@ -337,9 +292,6 @@ class PathAuthority {
   // AppendChain's scratch: the blocks one decision appends.
   std::vector<ir::BlockId> chain_;
   int decisions_ = 0;
-  // Step-template state (inert when options_.step_templates is false).
-  StepTemplateTracker tracker_;
-  bool last_step_replayable_ = false;
 
   // Step-timeline state (only maintained when trace/metrics are attached).
   struct PendingStep {

@@ -1,5 +1,7 @@
 #include "runtime/threads_backend.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -47,12 +49,20 @@ inline void CpuRelax() {
 
 }  // namespace
 
+unsigned UsableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&mask));
+  }
+  return std::thread::hardware_concurrency();
+}
+
 ThreadsBackend::ThreadsBackend(const sim::ClusterConfig& config)
     : config_(config),
       epoch_(std::chrono::steady_clock::now()),
-      // hardware_concurrency() is 0 when unknown: park at once then.
-      spin_(static_cast<unsigned>(config.num_machines) <=
-            std::thread::hardware_concurrency()) {
+      // UsableCpus() is 0 when unknown: park at once then.
+      spin_(static_cast<unsigned>(config.num_machines) <= UsableCpus()) {
   MITOS_CHECK(config_.num_machines > 0);
   machines_.reserve(static_cast<size_t>(config_.num_machines));
   for (int m = 0; m < config_.num_machines; ++m) {
@@ -172,6 +182,9 @@ bool ThreadsBackend::Refill(Machine* m) {
 
 void ThreadsBackend::WorkerLoop(int machine, Machine* m) {
   tls_worker = m;
+  internal_logging::AttachLogClock(this, [](const void* ctx) {
+    return static_cast<const ThreadsBackend*>(ctx)->now();
+  });
   // Workers outlive set_trace/set_metrics calls, so the flag is probed
   // with acquire loads (the observer pointers were written before the
   // release store that flipped it).

@@ -53,9 +53,8 @@
 // mutex into the wait before the push, so the producer sees the flag and
 // its notify finds the worker waiting. A worker that is awake costs its
 // producers nothing beyond the locked push. Spinning is on only when
-// num_machines <= std::thread::hardware_concurrency(): oversubscribed,
-// a spinning worker would steal the core the producer it waits for
-// needs, so workers park at once.
+// num_machines <= UsableCpus(): oversubscribed, a spinning worker would
+// steal the core the producer it waits for needs, so workers park at once.
 //
 // Quiescence (Run / ScheduleWhenIdle): a single atomic counts outstanding
 // tasks, incremented BEFORE a task is enqueued and decremented AFTER it
@@ -78,7 +77,8 @@
 // MetricsSnapshot() sums them, so no task takes a process-wide lock.
 //
 // Time is wall-clock seconds since construction; busy_until() == now()
-// (no background timers exist here). Fault plans are rejected upstream
+// (no background timers exist here). Each worker attaches this clock to
+// its thread's log lines (common/logging.h). Fault plans are rejected upstream
 // (PathAuthority checks simulator() != nullptr), and simulator()/cluster()
 // return nullptr, which gates off the watchdog, snapshot cadence, and
 // heartbeat machinery.
@@ -117,6 +117,11 @@
 #include "runtime/backend.h"
 
 namespace mitos::runtime {
+
+// CPUs this process may run on: the count in its affinity mask (so
+// `taskset` and cpusets count), or std::thread::hardware_concurrency()
+// when the mask cannot be read (0 if that is unknown too).
+unsigned UsableCpus();
 
 class ThreadsBackend : public Backend {
  public:

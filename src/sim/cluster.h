@@ -63,11 +63,6 @@ struct ClusterConfig {
   // Fixed modelled size of control messages and chunk headers (bytes).
   size_t control_message_bytes = 64;
 
-  // Size of a path broadcast for a template-replayable control-flow step
-  // (Execution-Templates-style: receivers already hold the step's decision
-  // metadata and only need a validate-and-advance token).
-  size_t template_control_message_bytes = 16;
-
   // Elements per pipeline chunk.
   size_t chunk_elements = 2048;
 };

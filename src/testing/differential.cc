@@ -108,24 +108,22 @@ std::vector<EngineVariant> DefaultMatrix() {
   using api::BackendKind;
   using api::EngineKind;
   return {
-      // label, engine, backend, templates, machines, fusion, columnar,
-      // twice, faults
-      {"mitos-des-t@3", EngineKind::kMitos, BackendKind::kDes, true, 3,
-       false, /*columnar=*/true, /*run_twice=*/true, /*fault_replay=*/true},
-      {"mitos-des-not@3", EngineKind::kMitos, BackendKind::kDes, false, 3},
-      {"mitos-des-t@1", EngineKind::kMitos, BackendKind::kDes, true, 1},
+      // label, engine, backend, machines, fusion, columnar, twice, faults
+      {"mitos-des@3", EngineKind::kMitos, BackendKind::kDes, 3, false,
+       /*columnar=*/true, /*run_twice=*/true, /*fault_replay=*/true},
+      {"mitos-des@1", EngineKind::kMitos, BackendKind::kDes, 1},
       // Boxed data plane: same engine, columnar ablation off. Catches any
       // divergence between the typed column kernels and the generic path.
-      {"mitos-des-boxed@3", EngineKind::kMitos, BackendKind::kDes, true, 3,
-       false, /*columnar=*/false},
-      {"mitos-threads@3", EngineKind::kMitos, BackendKind::kThreads, true,
-       3, false, /*columnar=*/true, /*run_twice=*/true},
-      {"mitos-fusion@3", EngineKind::kMitos, BackendKind::kDes, true, 3,
+      {"mitos-des-boxed@3", EngineKind::kMitos, BackendKind::kDes, 3, false,
+       /*columnar=*/false},
+      {"mitos-threads@3", EngineKind::kMitos, BackendKind::kThreads, 3,
+       false, /*columnar=*/true, /*run_twice=*/true},
+      {"mitos-fusion@3", EngineKind::kMitos, BackendKind::kDes, 3,
        /*fusion=*/true},
       {"mitos-nopipe@3", EngineKind::kMitosNoPipelining, BackendKind::kDes,
-       true, 3},
-      {"flink@3", EngineKind::kFlink, BackendKind::kDes, true, 3},
-      {"spark@3", EngineKind::kSpark, BackendKind::kDes, true, 3},
+       3},
+      {"flink@3", EngineKind::kFlink, BackendKind::kDes, 3},
+      {"spark@3", EngineKind::kSpark, BackendKind::kDes, 3},
   };
 }
 
@@ -213,7 +211,6 @@ DiffReport RunDifferential(const lang::Program& program,
     api::RunConfig config;
     config.machines = variant.machines;
     config.backend = variant.backend;
-    config.step_templates = variant.step_templates;
     config.mitos_operator_fusion = variant.fusion;
     config.columnar = variant.columnar;
 

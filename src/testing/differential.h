@@ -2,7 +2,7 @@
 // engine variant and cross-checks results.
 //
 // The oracle is the sequential reference interpreter. Every variant —
-// Mitos with step templates on and off, on the DES and the real-parallel
+// Mitos on the DES at one and three machines and on the real-parallel
 // threads backend, the ablation engines, and the Flink-/Spark-style
 // baselines — must produce the same output files with the same elements
 // (multiset equality; engines are free to reorder). On top of that:
@@ -42,7 +42,6 @@ struct EngineVariant {
   std::string label;
   api::EngineKind engine = api::EngineKind::kMitos;
   api::BackendKind backend = api::BackendKind::kDes;
-  bool step_templates = true;
   int machines = 3;
   bool fusion = false;
   // Columnar batched data plane (the default); false runs the boxed
@@ -56,8 +55,8 @@ struct EngineVariant {
 };
 
 // The default cross-check matrix (see the header comment). Labels:
-//   mitos-des-t@3, mitos-des-not@3, mitos-des-t@1, mitos-des-boxed@3,
-//   mitos-threads@3, mitos-fusion@3, mitos-nopipe@3, flink@3, spark@3
+//   mitos-des@3, mitos-des@1, mitos-des-boxed@3, mitos-threads@3,
+//   mitos-fusion@3, mitos-nopipe@3, flink@3, spark@3
 std::vector<EngineVariant> DefaultMatrix();
 
 // `filter` is a comma-separated list of label substrings (mitos_fuzz

@@ -576,8 +576,8 @@ class Generator {
   }
 
   // x = f(x) for a bag existing OUTSIDE the current scope: creates Φs at
-  // loop heads and if joins — the machinery step templates must invalidate
-  // correctly.
+  // loop heads and if joins, whose input choice the longest-prefix rule
+  // must get right.
   void ReassignExistingBag(size_t scope) {
     if (scope == 0) return;
     const BagVar& target = bags_[rng_.NextBelow(scope)];

@@ -16,7 +16,7 @@
 // Example:
 //   // mitos_fuzz repro
 //   // seed: 77
-//   // mismatch: mitos-des-t@3:faults[0]
+//   // mismatch: mitos-des@3:faults[0]
 //   // detail: o1: element mismatch: expected 4 elements ...
 //   // fault[0]: crash=1@0.61+0.30; ckpt=2
 //   b0 = bagOf(3, 1, 4);

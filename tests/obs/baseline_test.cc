@@ -50,29 +50,6 @@ TEST(BaselineTest, JsonRoundTripIsLossless) {
   EXPECT_EQ(parsed->ToJson(), json);
 }
 
-TEST(BaselineTest, ParseExpandsWallclockOnOffEntries) {
-  // The shape bench/micro_threads_wallclock.cc writes: one templates-off
-  // and one templates-on wall-clock measurement per entry.
-  const std::string json =
-      "{\"schema\":1,\"figure\":\"threads_wallclock\",\"entries\":["
-      "{\"key\":\"fig7/m4/s400\",\"machines\":4,"
-      "\"off_seconds\":0.0135,\"on_seconds\":0.0123,"
-      "\"template_hits\":1990,\"template_misses\":17}]}";
-  auto parsed = BaselineFile::Parse(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->entries.size(), 2u);
-  EXPECT_EQ(parsed->entries[0].key, "fig7/m4/s400/off");
-  EXPECT_DOUBLE_EQ(parsed->entries[0].total_seconds, 0.0135);
-  EXPECT_EQ(parsed->entries[1].key, "fig7/m4/s400/on");
-  EXPECT_DOUBLE_EQ(parsed->entries[1].total_seconds, 0.0123);
-  EXPECT_EQ(parsed->entries[0].machines, 4);
-
-  // Self-comparison of the expanded entries is clean.
-  BaselineDiff diff = Compare(*parsed, *parsed, 0.5);
-  EXPECT_FALSE(diff.failed());
-  EXPECT_EQ(diff.rows.size(), 2u);
-}
-
 TEST(BaselineTest, ParseRejectsGarbage) {
   EXPECT_FALSE(BaselineFile::Parse("not json").ok());
   EXPECT_FALSE(BaselineFile::Parse("[1,2,3]").ok());

@@ -21,20 +21,15 @@ struct Outcome {
   int64_t bags = 0;
   int64_t elements = 0;
   int attempts = 0;
-  int64_t template_hits = 0;
-  int64_t template_misses = 0;
-  int64_t template_invalidations = 0;
   std::map<std::string, DatumVector> files;
 };
 
 inline Outcome RunOn(BackendKind backend, EngineKind engine,
                      const lang::Program& program,
-                     const sim::SimFileSystem& inputs, int machines,
-                     bool step_templates = true) {
+                     const sim::SimFileSystem& inputs, int machines) {
   sim::SimFileSystem fs = inputs;  // fresh, identically seeded filesystem
   RunConfig config{.machines = machines};
   config.backend = backend;
-  config.step_templates = step_templates;
   auto result = api::Run(engine, program, &fs, config);
   MITOS_CHECK(result.ok()) << result.status().ToString();
   Outcome outcome;
@@ -42,9 +37,6 @@ inline Outcome RunOn(BackendKind backend, EngineKind engine,
   outcome.bags = result->stats.bags;
   outcome.elements = result->stats.elements;
   outcome.attempts = result->stats.attempts;
-  outcome.template_hits = result->stats.template_hits;
-  outcome.template_misses = result->stats.template_misses;
-  outcome.template_invalidations = result->stats.template_invalidations;
   for (const std::string& name : fs.ListFiles()) {
     outcome.files[name] = *fs.Read(name);
   }
@@ -59,9 +51,6 @@ inline void ExpectEquivalent(const Outcome& des, const Outcome& threads) {
   EXPECT_EQ(des.bags, threads.bags);
   EXPECT_EQ(des.elements, threads.elements);
   EXPECT_EQ(des.attempts, threads.attempts);
-  EXPECT_EQ(des.template_hits, threads.template_hits);
-  EXPECT_EQ(des.template_misses, threads.template_misses);
-  EXPECT_EQ(des.template_invalidations, threads.template_invalidations);
   ASSERT_EQ(des.files.size(), threads.files.size());
   for (const auto& [name, data] : des.files) {
     auto it = threads.files.find(name);
@@ -73,12 +62,10 @@ inline void ExpectEquivalent(const Outcome& des, const Outcome& threads) {
 inline void ExpectBackendsAgree(EngineKind engine,
                                 const lang::Program& program,
                                 const sim::SimFileSystem& inputs,
-                                int machines, bool step_templates = true) {
+                                int machines) {
   ExpectEquivalent(
-      RunOn(BackendKind::kDes, engine, program, inputs, machines,
-            step_templates),
-      RunOn(BackendKind::kThreads, engine, program, inputs, machines,
-            step_templates));
+      RunOn(BackendKind::kDes, engine, program, inputs, machines),
+      RunOn(BackendKind::kThreads, engine, program, inputs, machines));
 }
 
 }  // namespace mitos::api

@@ -1,9 +1,9 @@
 // Differential suite: the real-parallel threads backend against the DES
-// oracle. Both run the SAME operator kernels, PathAuthority decisions, and
-// step templates behind the runtime::Backend seam — so for every figure
-// workload and every hostile-control-flow program, the two must agree
-// element-for-element on outputs and exactly on the control-plane counters
-// (decisions, bags, elements, template hits/misses/invalidations).
+// oracle. Both run the SAME operator kernels and PathAuthority decisions
+// behind the runtime::Backend seam — so for every figure workload and every
+// hostile-control-flow program, the two must agree element-for-element on
+// outputs and exactly on the control-plane counters (decisions, bags,
+// elements).
 //
 // What is deliberately NOT compared: virtual vs wall time (different
 // clocks by construction) and the cluster byte/message tallies (chunk
@@ -20,10 +20,9 @@
 namespace mitos::api {
 namespace {
 
-// --- hostile control flow (same shapes as the step-template suite) ---
+// --- hostile control flow ---
 
-// If-branch flips every iteration: no step is ever replayable, and the
-// threads backend must take the exact same miss/invalidation path.
+// If-branch flips every iteration: consecutive steps never repeat.
 lang::Program FlippingIfProgram(int steps) {
   lang::ProgramBuilder pb;
   pb.Assign("i", lang::LitInt(0));
@@ -46,7 +45,7 @@ lang::Program FlippingIfProgram(int steps) {
 }
 
 // Nested loops; alternating inner trip count (1 + i mod 2) keeps the step
-// sequence from ever settling into a template.
+// sequence from ever settling into one repeating shape.
 lang::Program NestedLoopProgram(int outer, bool alternating, int inner) {
   lang::ProgramBuilder pb;
   pb.Assign("i", lang::LitInt(0));
@@ -123,18 +122,12 @@ TEST(BackendDiffTest, HostileAlternatingNestedLoop) {
   ExpectBackendsAgree(EngineKind::kMitos, program, inputs, 4);
 }
 
+// Constant inner trip count: the outer loop replays one step shape.
 TEST(BackendDiffTest, SteadyNestedLoopReplays) {
   sim::SimFileSystem inputs;
   lang::Program program =
       NestedLoopProgram(/*outer=*/4, /*alternating=*/false, /*inner=*/8);
-  Outcome des = RunOn(BackendKind::kDes, EngineKind::kMitos, program, inputs,
-                      4);
-  Outcome threads = RunOn(BackendKind::kThreads, EngineKind::kMitos, program,
-                          inputs, 4);
-  ExpectEquivalent(des, threads);
-  // The point of the steady shape: the template cache actually engages, and
-  // it engages IDENTICALLY under real concurrency.
-  EXPECT_GT(threads.template_hits, 0);
+  ExpectBackendsAgree(EngineKind::kMitos, program, inputs, 4);
 }
 
 // --- engine ablations through the seam ---
@@ -146,18 +139,6 @@ TEST(BackendDiffTest, AblationsAgreeOnVisitCount) {
   lang::Program program = workloads::VisitCountProgram({.days = 5});
   ExpectBackendsAgree(EngineKind::kMitosNoPipelining, program, inputs, 4);
   ExpectBackendsAgree(EngineKind::kMitosNoHoisting, program, inputs, 4);
-}
-
-TEST(BackendDiffTest, TemplatesOffAgreesToo) {
-  sim::SimFileSystem inputs;
-  lang::Program program = workloads::StepOverheadProgram(20);
-  Outcome des = RunOn(BackendKind::kDes, EngineKind::kMitos, program, inputs,
-                      4, /*step_templates=*/false);
-  Outcome threads = RunOn(BackendKind::kThreads, EngineKind::kMitos, program,
-                          inputs, 4, /*step_templates=*/false);
-  ExpectEquivalent(des, threads);
-  EXPECT_EQ(threads.template_hits, 0);
-  EXPECT_EQ(threads.template_misses, 0);
 }
 
 // --- determinism framing ---

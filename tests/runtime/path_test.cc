@@ -111,7 +111,6 @@ TEST(ExecutionPathTest, ConcurrentReadersSeePublishedPrefix) {
           const int pos = static_cast<int>(
               rng.NextBelow(static_cast<uint64_t>(len)));
           if (path.at(pos) != block_at(pos)) failed = true;
-          if (path.meta(pos).generation != pos) failed = true;
           // The latest occurrence of a block at or before `pos`.
           const ir::BlockId block = block_at(pos);
           int want = pos + 1;
@@ -127,21 +126,13 @@ TEST(ExecutionPathTest, ConcurrentReadersSeePublishedPrefix) {
           if (path.LongestPrefixEndingWith(block, len) != want) {
             failed = true;
           }
-          const int seg = std::min(len - pos, 4);
-          const int other = static_cast<int>(
-              rng.NextBelow(static_cast<uint64_t>(len - seg + 1)));
-          bool equal = true;
-          for (int k = 0; k < seg; ++k) {
-            equal = equal && block_at(pos + k) == block_at(other + k);
-          }
-          if (path.SegmentsEqual(pos, other, seg) != equal) failed = true;
         }
         if (complete || failed) return;
       }
     });
   }
   for (int pos = 0; pos < kLen; ++pos) {
-    path.Append(block_at(pos), StepMeta{pos, false});
+    path.Append(block_at(pos));
   }
   path.MarkComplete();
   for (std::thread& t : readers) t.join();

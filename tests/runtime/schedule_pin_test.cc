@@ -78,18 +78,9 @@ void ExpectPinned(const Pin& got, const Pin& want) {
   }
 }
 
-TEST(SchedulePinTest, StepOverheadWithTemplates) {
-  sim::SimFileSystem fs;
-  ExpectPinned(Measure(workloads::StepOverheadProgram(50), &fs,
-                       {.machines = 3}),
-               {0x3fd45639a4f24042ULL,
-                257, 256, 614, 36020, 0xa85dcd213288da8eULL});
-}
-
 TEST(SchedulePinTest, StepOverheadWithoutTemplates) {
   sim::SimFileSystem fs;
   RunConfig config{.machines = 3};
-  config.step_templates = false;
   ExpectPinned(Measure(workloads::StepOverheadProgram(50), &fs, config),
                {0x3fd45fdd65dfb97bULL,
                 257, 256, 614, 40628, 0x4f38c448bb517346ULL});
@@ -104,7 +95,7 @@ TEST(SchedulePinTest, VisitCountWithPageTypes) {
       Measure(workloads::VisitCountProgram(
                   {.days = 6, .with_page_types = true}),
               &fs, {.machines = 3}),
-      {0x3fcd679e1d34d836ULL, 252, 429, 325, 53895, 0x24cda0f6d8ec1053ULL});
+      {0x3fcd6a55c2e68318ULL, 252, 429, 325, 54471, 0x3a4a3ca1836d15b4ULL});
 }
 
 TEST(SchedulePinTest, PageRank) {
@@ -113,8 +104,8 @@ TEST(SchedulePinTest, PageRank) {
   ExpectPinned(Measure(workloads::PageRankProgram(
                            {.iterations = 4, .num_vertices = 80}),
                        &fs, {.machines = 3}),
-               {0x3fcdc11b4cb4efe5ULL,
-                142, 270, 194, 59429, 0xac13b39115e110edULL});
+               {0x3fcdc1bc5c649051ULL,
+                142, 270, 194, 59621, 0x874f1fa3729c109aULL});
 }
 
 TEST(SchedulePinTest, KMeansUnderCrashAndDrop) {

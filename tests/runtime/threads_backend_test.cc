@@ -1,11 +1,12 @@
 // ThreadsBackend driven directly: the per-(src,dst) FIFO guarantee across
 // the owner-local and shared queues, quiescence with self-post chains and
 // work-posting idle callbacks, wake-ups that must never be lost whether
-// workers spin or park, destruction right after a run, and the
-// per-machine ClusterMetrics tallies.
+// workers spin or park, destruction right after a run, the usable-CPU
+// count behind the spin gate, and the per-machine ClusterMetrics tallies.
 #include "runtime/threads_backend.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <array>
@@ -166,6 +167,24 @@ TEST(ThreadsBackendTest, DestroyWhileWorkersSpin) {
     slowest = std::max(slowest, took.count());
   }
   EXPECT_LT(slowest, 1.0);
+}
+
+// The spin gate counts the CPUs this process may run on, not the host's:
+// pinned to one CPU (as under `taskset -c 0`), the count is 1.
+TEST(ThreadsBackendTest, UsableCpusCountsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned pinned = UsableCpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(UsableCpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
 }
 
 // More workers than this host has cores (on any host under 16 cores): the

@@ -98,7 +98,7 @@ TEST(DifferentialTest, FilterMatrixSelectsBySubstring) {
   auto all = DefaultMatrix();
   EXPECT_EQ(FilterMatrix(all, "").size(), all.size());
   auto mitos_only = FilterMatrix(all, "mitos-des");
-  ASSERT_EQ(mitos_only.size(), 4u);  // t@3, not@3, t@1, boxed@3
+  ASSERT_EQ(mitos_only.size(), 3u);  // @3, @1, boxed@3
   for (const auto& v : mitos_only) {
     EXPECT_NE(v.label.find("mitos-des"), std::string::npos);
   }
@@ -114,7 +114,7 @@ TEST(DifferentialTest, FaultReplayRunsPerPlan) {
     write(r, "o0");
   )");
   DiffOptions options;
-  options.variants = FilterMatrix(DefaultMatrix(), "mitos-des-t@3");
+  options.variants = FilterMatrix(DefaultMatrix(), "mitos-des@3");
   ASSERT_EQ(options.variants.size(), 1u);
   auto plan = sim::FaultPlan::Parse("crash=1@0.2+0.3; ckpt=1");
   ASSERT_TRUE(plan.ok());

@@ -3,11 +3,10 @@
 // virtual time regressed beyond a threshold.
 //
 //   bench_diff BASE.json CURRENT.json
-//       [--threshold=0.10 | --no-worse] [--advisory]
+//       [--threshold=0.10] [--advisory]
 //
-// --no-worse tightens the threshold to a hair above zero (1e-9 relative),
-// i.e. CURRENT must not be slower than BASE on any run at all; used by the
-// CI perf-smoke gate to assert step-templates-on never loses to off.
+// --threshold is a relative slowdown: a finite number above 0, written in
+// full (anything else is a usage error).
 //
 // --advisory makes the comparison report-only: drift is printed but the
 // exit status stays 0 regardless (I/O and schema errors still exit 2).
@@ -23,6 +22,7 @@
 // understand. Baselines hold virtual-time quantities, so a committed BASE
 // diffs byte-stably against a fresh CI run on any host (wall-clock bench
 // shapes are the exception — hence --advisory).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,15 +42,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::atof(arg.c_str() + std::strlen("--threshold="));
-      if (threshold <= 0) {
+      const char* value = arg.c_str() + std::strlen("--threshold=");
+      char* end = nullptr;
+      threshold = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !std::isfinite(threshold) ||
+          threshold <= 0) {
         std::fprintf(stderr, "bench_diff: bad --threshold value: %s\n",
                      arg.c_str());
         return 2;
       }
-      have_threshold = true;
-    } else if (arg == "--no-worse") {
-      threshold = 1e-9;
       have_threshold = true;
     } else if (arg == "--advisory") {
       advisory = true;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   if (current_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_diff BASE.json CURRENT.json "
-                 "[--threshold=0.10 | --no-worse] [--advisory]\n");
+                 "[--threshold=0.10] [--advisory]\n");
     return 2;
   }
   // Wall-clock numbers are host-dependent; without an explicit threshold

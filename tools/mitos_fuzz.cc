@@ -1,9 +1,9 @@
 // mitos_fuzz: generative differential testing of every engine.
 //
 // Generates seeded random control-flow programs (testing/generator.h), runs
-// each on the full engine matrix (testing/differential.h) — Mitos with step
-// templates on and off, DES and threads backends, the ablation engines, and
-// the Flink-/Spark-style baselines — and cross-checks all outputs against
+// each on the full engine matrix (testing/differential.h) — Mitos on the
+// DES and threads backends, the ablation engines, and the Flink-/Spark-style
+// baselines — and cross-checks all outputs against
 // the sequential reference interpreter, plus run-twice determinism and
 // byte-identical fault-plan recovery. On divergence the failing program is
 // greedily minimized (testing/shrink.h) and written as a self-contained
@@ -20,9 +20,9 @@
 //   --max-depth=N       control-flow nesting depth (default 3)
 //   --budget=N          statement budget per program (default 14)
 //   --engines=a,b       label-substring filter over the matrix (labels:
-//                       mitos-des-t@3 mitos-des-not@3 mitos-des-t@1
-//                       mitos-des-boxed@3 mitos-threads@3 mitos-fusion@3
-//                       mitos-nopipe@3 flink@3 spark@3)
+//                       mitos-des@3 mitos-des@1 mitos-des-boxed@3
+//                       mitos-threads@3 mitos-fusion@3 mitos-nopipe@3
+//                       flink@3 spark@3)
 //   --faults-per-program=N  fault plans replayed per program (default 2)
 //   --shrink / --no-shrink  minimize findings (default on)
 //   --max-evals=N       shrink evaluation budget (default 300)

@@ -44,8 +44,8 @@
 //                       (mitos_-prefixed families; counters, gauges, and
 //                       summary quantiles — see DESIGN.md §10)
 //   --event-log=FILE    stream structured JSONL events (steps, decisions,
-//                       template activity, faults, recovery, checkpoints,
-//                       snapshots, watchdog stalls) to FILE as the run
+//                       faults, recovery, checkpoints, snapshots,
+//                       watchdog stalls) to FILE as the run
 //                       executes; each record carries virtual time and a
 //                       wall-clock timestamp
 //   --snapshot-every=K  with --event-log: also emit a metrics snapshot
@@ -56,13 +56,9 @@
 //                       within an 8x rolling-median window and emits a
 //                       watchdog_stall record naming the operators behind
 //   --progress          render a one-line live status on stderr (current
-//                       step, path length, template hit rate, faults seen)
+//                       step, path length, attempt, faults seen)
 //   --profile           print the per-operator CPU table and the per-step
 //                       timeline (step index, path, barrier wait, data moved)
-//   --step-templates=on|off  step-template control-plane caching (Mitos
-//                       engines; default on): validated replay of per-step
-//                       bag-id/input-choice/routing decisions across
-//                       structurally identical loop iterations
 //   --columnar=on|off   columnar chunk plane (Mitos engines; default on):
 //                       off boxes every chunk as a DatumVector end to end
 //                       (the pre-batching data plane; ablation baseline).
@@ -178,7 +174,6 @@ int main(int argc, char** argv) {
   bool progress = false;
   std::string watchdog_flag = "auto";  // on with --event-log by default
   bool have_faults = false;
-  bool step_templates = true;
   bool columnar = true;
   sim::SimFileSystem fs;
   std::vector<std::string> input_files;
@@ -276,12 +271,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg.rfind("--step-templates=", 0) == 0) {
-      const std::string value = value_of("--step-templates=");
-      if (value != "on" && value != "off") {
-        return Fail("--step-templates expects on or off, got " + value);
-      }
-      step_templates = value == "on";
     } else if (arg.rfind("--columnar=", 0) == 0) {
       const std::string value = value_of("--columnar=");
       if (value != "on" && value != "off") {
@@ -363,7 +352,6 @@ int main(int argc, char** argv) {
   api::RunConfig config{.machines = machines};
   config.backend = backend_name == "threads" ? api::BackendKind::kThreads
                                              : api::BackendKind::kDes;
-  config.step_templates = step_templates;
   config.columnar = columnar;
   // The analyzer consumes the same recorder the trace export does; both are
   // purely observational, so enabling them never changes virtual time.
@@ -403,16 +391,11 @@ int main(int argc, char** argv) {
   }
   if (progress) {
     config.live.progress = [](const obs::live::Progress& p) {
-      const double total =
-          static_cast<double>(p.template_hits + p.template_misses);
-      const double hit_rate =
-          total > 0 ? 100.0 * static_cast<double>(p.template_hits) / total
-                    : 0.0;
       std::fprintf(stderr,
                    "\r[t=%8.3fs] step %d  path %d  attempt %d  "
-                   "tmpl %5.1f%%  faults %lld%s",
+                   "faults %lld%s",
                    p.virtual_time, p.step + 1, p.path_len, p.attempt,
-                   hit_rate, static_cast<long long>(p.faults_seen),
+                   static_cast<long long>(p.faults_seen),
                    p.complete ? "  done\n" : "");
       std::fflush(stderr);
     };
@@ -525,7 +508,6 @@ int main(int argc, char** argv) {
       sim::SimFileSystem side_fs = pristine_fs;
       api::RunConfig side_config{.machines = machines};
       side_config.backend = side_backend;
-      side_config.step_templates = step_templates;
       side_config.columnar = columnar;
       side_config.trace = side_trace;
       side_config.metrics = side_metrics;
@@ -567,7 +549,6 @@ int main(int argc, char** argv) {
     // or fault plan); outputs must match as multisets per file.
     sim::SimFileSystem check_fs = pristine_fs;
     api::RunConfig check_config{.machines = machines};
-    check_config.step_templates = step_templates;
     check_config.columnar = columnar;
     auto check_run = api::Run(check_engine, *program, &check_fs, check_config);
     if (!check_run.ok()) {
