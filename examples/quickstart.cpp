@@ -49,7 +49,7 @@ int main() {
 
   // 2. Build the imperative program.
   lang::Program program = BuildVisitCount(kDays);
-  std::printf("--- program ---\n%s\n", lang::ToString(program).c_str());
+  std::printf("--- program ---\n%s\n", lang::ToSource(program).c_str());
 
   // 3. Run it under Mitos on an 8-machine simulated cluster.
   auto result = api::Run(api::EngineKind::kMitos, program, &fs,

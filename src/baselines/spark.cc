@@ -161,7 +161,7 @@ StatusOr<Datum> SparkDriver::EvalScalar(const Expr& expr) {
     }
     default:
       return Status::InvalidArgument("expected a scalar expression: " +
-                                     lang::ToString(expr));
+                                     lang::ToSource(expr));
   }
 }
 
@@ -308,7 +308,7 @@ StatusOr<SparkDriver::Lineage> SparkDriver::ResolveBag(const Expr& expr) {
       return ResolveBag(*expr.a);
     default:
       return Status::InvalidArgument("expected a bag expression: " +
-                                     lang::ToString(expr));
+                                     lang::ToSource(expr));
   }
 }
 
@@ -398,7 +398,7 @@ Status SparkDriver::RunJob(const Lineage& action,
       }
       default:
         return Status::Internal("unexpected lineage node: " +
-                                lang::ToString(e));
+                                lang::ToSource(e));
     }
     job.stmts.push_back(lang::Assign(name, rebuilt));
     names[node.get()] = name;

@@ -57,10 +57,6 @@ lang::UnaryFn NotFn() {
           }};
 }
 
-lang::UnaryFn IdentityFn() {
-  return {"identity", [](const Datum& x) { return x; }};
-}
-
 class Normalizer {
  public:
   explicit Normalizer(const lang::TypeCheckResult& types) : types_(types) {}
@@ -194,7 +190,7 @@ class Normalizer {
       }
       default:
         return Status::Internal("BagOpOf on non-bag expression: " +
-                                lang::ToString(e));
+                                lang::ToSource(e));
     }
   }
 
@@ -209,11 +205,11 @@ class Normalizer {
       case ExprKind::kVarRef:
         // A scalar copy materializes as an identity map node (the paper's
         // Figure 3 materializes yesterdayCnts3 = counts the same way).
-        return lang::Map(lang::Var(e.var), IdentityFn());
+        return lang::Map(lang::Var(e.var), lang::fns::Identity());
       case ExprKind::kScalarFromBag: {
         StatusOr<std::string> in = BagOperand(*e.a);
         if (!in.ok()) return in.status();
-        return lang::Map(lang::Var(*in), IdentityFn());
+        return lang::Map(lang::Var(*in), lang::fns::Identity());
       }
       case ExprKind::kNot: {
         StatusOr<std::string> in = ScalarOperand(*e.a);
@@ -249,7 +245,7 @@ class Normalizer {
       }
       default:
         return Status::Internal("ScalarOpOf on non-scalar expression: " +
-                                lang::ToString(e));
+                                lang::ToSource(e));
     }
   }
 
@@ -302,7 +298,7 @@ class Normalizer {
           StatusOr<ExprPtr> op =
               (rhs.kind == ExprKind::kVarRef)
                   ? StatusOr<ExprPtr>(lang::Map(lang::Var(rhs.var),
-                                                IdentityFn()))
+                                                lang::fns::Identity()))
                   : BagOpOf(rhs);
           if (!op.ok()) return op.status();
           bool singleton = rhs.kind == ExprKind::kVarRef &&

@@ -195,7 +195,7 @@ class SsaBuilder {
         break;
       default:
         return Status::Internal("non-normalized assignment rhs: " +
-                                lang::ToString(e));
+                                lang::ToSource(e));
     }
     stmt.result = NewVar(s.var, StmtSingleton(s.var, stmt.op, stmt.inputs));
     env_[s.var] = stmt.result;

@@ -265,156 +265,10 @@ StmtPtr WriteFile(ExprPtr bag, ExprPtr filename) {
   return s;
 }
 
-// ----- Printer -----
-
-namespace {
-
-void PrintExpr(const Expr& e, std::ostream& out) {
-  switch (e.kind) {
-    case ExprKind::kLit:
-      out << e.lit.ToString();
-      break;
-    case ExprKind::kVarRef:
-      out << e.var;
-      break;
-    case ExprKind::kBinOp:
-      out << '(';
-      PrintExpr(*e.a, out);
-      out << ' ' << BinOpName(e.binop) << ' ';
-      PrintExpr(*e.b, out);
-      out << ')';
-      break;
-    case ExprKind::kNot:
-      out << "!(";
-      PrintExpr(*e.a, out);
-      out << ')';
-      break;
-    case ExprKind::kScalarFromBag:
-      out << "scalarOf(";
-      PrintExpr(*e.a, out);
-      out << ')';
-      break;
-    case ExprKind::kBagLit:
-      out << "bag" << mitos::ToString(e.bag_lit, 4);
-      break;
-    case ExprKind::kFromScalar:
-      out << "newBag(";
-      PrintExpr(*e.a, out);
-      out << ')';
-      break;
-    case ExprKind::kReadFile:
-      out << "readFile(";
-      PrintExpr(*e.a, out);
-      out << ')';
-      break;
-    case ExprKind::kMap:
-      PrintExpr(*e.a, out);
-      out << ".map(" << e.unary.name << ')';
-      break;
-    case ExprKind::kFilter:
-      PrintExpr(*e.a, out);
-      out << ".filter(" << e.pred.name << ')';
-      break;
-    case ExprKind::kFlatMap:
-      PrintExpr(*e.a, out);
-      out << ".flatMap(" << e.flat.name << ')';
-      break;
-    case ExprKind::kReduceByKey:
-      PrintExpr(*e.a, out);
-      out << ".reduceByKey(" << e.binary.name << ')';
-      break;
-    case ExprKind::kReduce:
-      PrintExpr(*e.a, out);
-      out << ".reduce(" << e.binary.name << ')';
-      break;
-    case ExprKind::kJoin:
-      out << '(';
-      PrintExpr(*e.a, out);
-      out << " join ";
-      PrintExpr(*e.b, out);
-      out << ')';
-      break;
-    case ExprKind::kUnion:
-      out << '(';
-      PrintExpr(*e.a, out);
-      out << " union ";
-      PrintExpr(*e.b, out);
-      out << ')';
-      break;
-    case ExprKind::kDistinct:
-      PrintExpr(*e.a, out);
-      out << ".distinct()";
-      break;
-    case ExprKind::kCount:
-      PrintExpr(*e.a, out);
-      out << ".count()";
-      break;
-    case ExprKind::kCombine2:
-      out << "combine2(";
-      PrintExpr(*e.a, out);
-      out << ", ";
-      PrintExpr(*e.b, out);
-      out << ", " << e.binary.name << ')';
-      break;
-  }
-}
-
-void PrintStmt(const Stmt& s, int indent, std::ostream& out);
-
-void PrintStmts(const StmtList& stmts, int indent, std::ostream& out) {
-  for (const StmtPtr& s : stmts) PrintStmt(*s, indent, out);
-}
-
-void PrintStmt(const Stmt& s, int indent, std::ostream& out) {
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  switch (s.kind) {
-    case StmtKind::kAssign:
-      out << pad << s.var << " = ";
-      PrintExpr(*s.expr, out);
-      out << '\n';
-      break;
-    case StmtKind::kWhile:
-      out << pad << "while ";
-      PrintExpr(*s.expr, out);
-      out << " do\n";
-      PrintStmts(s.body, indent + 1, out);
-      out << pad << "end while\n";
-      break;
-    case StmtKind::kDoWhile:
-      out << pad << "do\n";
-      PrintStmts(s.body, indent + 1, out);
-      out << pad << "while ";
-      PrintExpr(*s.expr, out);
-      out << '\n';
-      break;
-    case StmtKind::kIf:
-      out << pad << "if ";
-      PrintExpr(*s.expr, out);
-      out << " then\n";
-      PrintStmts(s.body, indent + 1, out);
-      if (!s.else_body.empty()) {
-        out << pad << "else\n";
-        PrintStmts(s.else_body, indent + 1, out);
-      }
-      out << pad << "end if\n";
-      break;
-    case StmtKind::kWriteFile:
-      out << pad;
-      PrintExpr(*s.expr, out);
-      out << ".writeFile(";
-      PrintExpr(*s.filename, out);
-      out << ")\n";
-      break;
-  }
-}
-
-}  // namespace
-
 // ----- Source printer -----
 //
 // Emits the parser grammar (lang/parser.h) so programs round-trip through
-// lang::Parse. Kept separate from the debug printer above: the debug form
-// optimizes for reading IR dumps, this form for re-running programs.
+// lang::Parse.
 
 namespace {
 
@@ -627,24 +481,6 @@ std::string ToSource(const Expr& expr) {
 std::string ToSource(const Program& program) {
   std::ostringstream out;
   SourceStmts(program.stmts, 0, out);
-  return out.str();
-}
-
-std::string ToString(const Expr& expr) {
-  std::ostringstream out;
-  PrintExpr(expr, out);
-  return out.str();
-}
-
-std::string ToString(const Stmt& stmt, int indent) {
-  std::ostringstream out;
-  PrintStmt(stmt, indent, out);
-  return out.str();
-}
-
-std::string ToString(const Program& program) {
-  std::ostringstream out;
-  PrintStmts(program.stmts, 0, out);
   return out.str();
 }
 

@@ -166,22 +166,17 @@ struct Program {
   StmtList stmts;
 };
 
-// ----- Pretty-printing (for debugging, docs, and golden tests) -----
-
-std::string ToString(const Expr& expr);
-std::string ToString(const Stmt& stmt, int indent = 0);
-std::string ToString(const Program& program);
-
-// ----- Source printing (parser round-trip) -----
+// ----- Source printing (the one AST printer) -----
 //
 // Emits the program in the textual grammar of lang/parser.h, so that
 // lang::Parse(ToSource(p)) reconstructs `p` — the foundation of the fuzzer's
-// self-contained repro files (testing/repro.h). Round-tripping holds for
+// self-contained repro files (testing/repro.h) — and doubles as the form
+// of EXPLAIN's `ast` field and of error messages. Round-tripping holds for
 // surface-language programs: every statement kind, every bag operation, and
-// every user function whose name uses the parser's registry syntax (all of
-// fns::* do). kCombine2 — introduced only by the Preparator, never by user
-// programs — and functions with non-registry names print in a debug form
-// that does not parse.
+// every builtin function (lang/functions.h prints each in parser syntax).
+// kCombine2 — introduced only by the Preparator, never by user programs —
+// and custom C++ functions with non-builtin names print in a form that
+// does not parse.
 std::string ToSource(const Expr& expr);
 std::string ToSource(const Program& program);
 

@@ -1,214 +1,129 @@
 #include "lang/functions.h"
 
 #include <cstdlib>
+#include <initializer_list>
 
 #include "common/logging.h"
 
 namespace mitos::lang {
+
+namespace {
+
+bool InRange(int64_t v, int64_t lo, int64_t hi) { return lo <= v && v <= hi; }
+
+// name, name(p) or name(p, q).
+std::string PrintedName(const char* name,
+                        std::initializer_list<int64_t> args) {
+  std::string out = name;
+  if (args.size() == 0) return out;
+  const char* sep = "(";
+  for (int64_t a : args) {
+    out += sep;
+    out += std::to_string(a);
+    sep = ", ";
+  }
+  out += ')';
+  return out;
+}
+
+const char* KindNoun(FnKind kind) {
+  switch (kind) {
+    case FnKind::kUnary:
+      return "element function";
+    case FnKind::kBinary:
+      return "combiner";
+    case FnKind::kPredicate:
+      return "predicate";
+    case FnKind::kFlatMap:
+      return "flatMap function";
+  }
+  return "function";
+}
+
+}  // namespace
+
 namespace fns {
 
-UnaryFn PairWithOne() {
-  UnaryFn f{"pairWithOne",
-            [](const Datum& x) { return Datum::Pair(x, Datum::Int64(1)); }};
-  f.i64_to_pair = [](int64_t x) { return Int64Pair{x, 1}; };
-  return f;
-}
-
-BinaryFn SumInt64() {
-  BinaryFn f{"sumInt64", [](const Datum& a, const Datum& b) {
-               return Datum::Int64(a.int64() + b.int64());
-             }};
-  f.i64 = [](int64_t a, int64_t b) { return a + b; };
-  return f;
-}
-
-BinaryFn SumDouble() {
-  return {"sumDouble", [](const Datum& a, const Datum& b) {
-            return Datum::Double(a.dbl() + b.dbl());
-          }};
-}
-
-BinaryFn MinInt64() {
-  BinaryFn f{"minInt64", [](const Datum& a, const Datum& b) {
-               return a.int64() <= b.int64() ? a : b;
-             }};
-  f.i64 = [](int64_t a, int64_t b) { return a <= b ? a : b; };
-  return f;
-}
-
-BinaryFn MaxInt64() {
-  BinaryFn f{"maxInt64", [](const Datum& a, const Datum& b) {
-               return a.int64() >= b.int64() ? a : b;
-             }};
-  f.i64 = [](int64_t a, int64_t b) { return a >= b ? a : b; };
-  return f;
-}
-
-BinaryFn KeepLast() {
-  // Deliberately no i64 fast path: the result depends on fold order.
-  return {"keepLast", [](const Datum&, const Datum& b) { return b; }};
-}
-
-UnaryFn Field(size_t i) {
-  // The name is the parser's registry syntax (lang/parser.cc), so printed
-  // programs (lang::ToSource) round-trip through lang::Parse.
-  UnaryFn f{"field(" + std::to_string(i) + ")",
-            [i](const Datum& x) { return x.field(i); }};
-  // Columnar pairs are exactly width-2 tuples, so field(0)/field(1) have
-  // typed projections.
-  if (i == 0) f.pair_to_i64 = [](int64_t k, int64_t) { return k; };
-  if (i == 1) f.pair_to_i64 = [](int64_t, int64_t v) { return v; };
-  return f;
-}
-
-UnaryFn Identity() {
-  UnaryFn f{"identity", [](const Datum& x) { return x; }};
-  f.i64 = [](int64_t x) { return x; };
-  f.f64 = [](double x) { return x; };
-  f.pair_to_pair = [](int64_t k, int64_t v) { return Int64Pair{k, v}; };
-  return f;
-}
-
-UnaryFn AddInt64(int64_t delta) {
-  UnaryFn f{"addInt64(" + std::to_string(delta) + ")",
-            [delta](const Datum& x) {
-              return Datum::Int64(x.int64() + delta);
-            }};
-  f.i64 = [delta](int64_t x) { return x + delta; };
-  return f;
-}
-
-UnaryFn MulInt64(int64_t k) {
-  UnaryFn f{"mulInt64(" + std::to_string(k) + ")", [k](const Datum& x) {
-              return Datum::Int64(x.int64() * k);
-            }};
-  f.i64 = [k](int64_t x) { return x * k; };
-  return f;
-}
-
-UnaryFn SumJoin() {
-  // Join output (k, lv, rv) -> (k, lv + rv): projects a join back into a
-  // pair bag, so joined pipelines stay joinable/reducible. Width-3 tuples
-  // are never columnar, so there is no fast path.
-  return {"sumJoin", [](const Datum& t) {
-            return Datum::Pair(t.field(0), Datum::Int64(t.field(1).int64() +
-                                                        t.field(2).int64()));
-          }};
-}
-
-UnaryFn PairSwap() {
-  UnaryFn f{"pairSwap", [](const Datum& p) {
-              return Datum::Pair(p.field(1), p.field(0));
-            }};
-  f.pair_to_pair = [](int64_t k, int64_t v) { return Int64Pair{v, k}; };
-  return f;
-}
-
-UnaryFn AbsDiffFields12() {
-  // Named to match the parser registry ("absDiff") so printed
-  // programs re-parse to a program that prints identically.
-  return {"absDiff", [](const Datum& x) {
-            return Datum::Int64(std::abs(x.field(1).int64() -
-                                         x.field(2).int64()));
-          }};
-}
-
-UnaryFn ScaleDouble(double factor) {
-  UnaryFn f{"scaleDouble", [factor](const Datum& x) {
-              return Datum::Double(x.dbl() * factor);
-            }};
-  f.f64 = [factor](double x) { return x * factor; };
-  return f;
-}
-
-UnaryFn StrLen() {
-  return {"strLen", [](const Datum& x) {
-            return Datum::Int64(static_cast<int64_t>(x.str().size()));
-          }};
-}
-
-UnaryFn StrTag(int64_t k) {
-  return {"strTag(" + std::to_string(k) + ")", [k](const Datum& x) {
-            return Datum::String(x.str() + "#" + std::to_string(k));
-          }};
-}
-
-PredicateFn FieldEquals(size_t i, Datum value) {
-  // Only int64 values are expressible in the parser's fieldEquals(i, v)
-  // syntax; other kinds keep a debug-only name.
-  std::string name =
-      value.is_int64()
-          ? "fieldEquals(" + std::to_string(i) + ", " +
-                std::to_string(value.int64()) + ")"
-          : "fieldEquals" + std::to_string(i);
-  PredicateFn f{std::move(name),
-                [i, value](const Datum& x) { return x.field(i) == value; }};
-  if (value.is_int64() && i < 2) {
-    int64_t want = value.int64();
-    f.pair = i == 0
-                 ? std::function<bool(int64_t, int64_t)>(
-                       [want](int64_t k, int64_t) { return k == want; })
-                 : std::function<bool(int64_t, int64_t)>(
-                       [want](int64_t, int64_t v) { return v == want; });
+// Each factory CHECKs its arguments against the row's ranges; the parser
+// validates first (MakeBuiltin), so only a C++ caller can trip the CHECK.
+#define MITOS_DEFINE0(Kind, Factory, id, domain, flags, ...) \
+  Kind##Fn Factory() {                                       \
+    Kind##Fn f;                                              \
+    f.name = #id;                                            \
+    __VA_ARGS__                                              \
+    return f;                                                \
   }
-  return f;
-}
-
-PredicateFn Int64ModEquals(int64_t modulus, int64_t remainder) {
-  MITOS_CHECK_GT(modulus, 0);
-  PredicateFn f{"modEquals(" + std::to_string(modulus) + ", " +
-                    std::to_string(remainder) + ")",
-                [modulus, remainder](const Datum& x) {
-                  return x.int64() % modulus == remainder;
-                }};
-  f.i64 = [modulus, remainder](int64_t x) { return x % modulus == remainder; };
-  return f;
-}
-
-PredicateFn GtInt64(int64_t k) {
-  PredicateFn f{"gtInt64(" + std::to_string(k) + ")",
-                [k](const Datum& x) { return x.int64() > k; }};
-  f.i64 = [k](int64_t x) { return x > k; };
-  return f;
-}
-
-PredicateFn LtInt64(int64_t k) {
-  PredicateFn f{"ltInt64(" + std::to_string(k) + ")",
-                [k](const Datum& x) { return x.int64() < k; }};
-  f.i64 = [k](int64_t x) { return x < k; };
-  return f;
-}
-
-PredicateFn StrLenGt(int64_t k) {
-  return {"strLenGt(" + std::to_string(k) + ")", [k](const Datum& x) {
-            return static_cast<int64_t>(x.str().size()) > k;
-          }};
-}
-
-FlatMapFn Dup() {
-  FlatMapFn f{"dup", [](const Datum& x) {
-                return DatumVector{x, x};
-              }};
-  f.i64 = [](int64_t x, std::vector<int64_t>* out) {
-    out->push_back(x);
-    out->push_back(x);
-  };
-  return f;
-}
-
-FlatMapFn RangeTo() {
-  FlatMapFn f{"rangeTo", [](const Datum& x) {
-                DatumVector out;
-                for (int64_t i = 0; i < x.int64(); ++i) {
-                  out.push_back(Datum::Int64(i));
-                }
-                return out;
-              }};
-  f.i64 = [](int64_t x, std::vector<int64_t>* out) {
-    for (int64_t i = 0; i < x; ++i) out->push_back(i);
-  };
-  return f;
-}
+#define MITOS_DEFINE1(Kind, Factory, id, domain, flags, p, p_lo, p_hi, ...) \
+  Kind##Fn Factory(int64_t p) {                                             \
+    MITOS_CHECK(InRange(p, p_lo, p_hi)) << #id ": " #p " = " << p;          \
+    Kind##Fn f;                                                             \
+    f.name = PrintedName(#id, {p});                                         \
+    __VA_ARGS__                                                             \
+    return f;                                                               \
+  }
+#define MITOS_DEFINE2(Kind, Factory, id, domain, flags, p, p_lo, p_hi, q, \
+                      q_lo, q_hi, ...)                                    \
+  Kind##Fn Factory(int64_t p, int64_t q) {                                \
+    MITOS_CHECK(InRange(p, p_lo, p_hi)) << #id ": " #p " = " << p;        \
+    MITOS_CHECK(InRange(q, q_lo, q_hi)) << #id ": " #q " = " << q;        \
+    Kind##Fn f;                                                           \
+    f.name = PrintedName(#id, {p, q});                                    \
+    __VA_ARGS__                                                           \
+    return f;                                                             \
+  }
+MITOS_BUILTINS(MITOS_DEFINE0, MITOS_DEFINE1, MITOS_DEFINE2)
+#undef MITOS_DEFINE0
+#undef MITOS_DEFINE1
+#undef MITOS_DEFINE2
 
 }  // namespace fns
+
+const std::vector<Builtin>& Builtins() {
+#define MITOS_ROW0(Kind, Factory, id, domain, flags, ...)  \
+  {#id, FnKind::k##Kind, BuiltinDomain::domain, flags, {}, \
+   [](const int64_t*) -> AnyFn { return fns::Factory(); }},
+#define MITOS_ROW1(Kind, Factory, id, domain, flags, p, p_lo, p_hi, ...) \
+  {#id, FnKind::k##Kind, BuiltinDomain::domain, flags,                   \
+   {{#p, p_lo, p_hi}},                                                   \
+   [](const int64_t* args) -> AnyFn { return fns::Factory(args[0]); }},
+#define MITOS_ROW2(Kind, Factory, id, domain, flags, p, p_lo, p_hi, q, \
+                   q_lo, q_hi, ...)                                    \
+  {#id, FnKind::k##Kind, BuiltinDomain::domain, flags,                 \
+   {{#p, p_lo, p_hi}, {#q, q_lo, q_hi}},                               \
+   [](const int64_t* args) -> AnyFn {                                  \
+     return fns::Factory(args[0], args[1]);                            \
+   }},
+  static const std::vector<Builtin> rows = {
+      MITOS_BUILTINS(MITOS_ROW0, MITOS_ROW1, MITOS_ROW2)};
+#undef MITOS_ROW0
+#undef MITOS_ROW1
+#undef MITOS_ROW2
+  return rows;
+}
+
+StatusOr<AnyFn> MakeBuiltin(FnKind kind, const std::string& name,
+                            const std::vector<int64_t>& args) {
+  for (const Builtin& row : Builtins()) {
+    if (row.kind != kind || name != row.name) continue;
+    if (args.size() != row.params.size()) {
+      return Status::InvalidArgument(
+          "builtin '" + name + "' expects " +
+          std::to_string(row.params.size()) + " argument(s), got " +
+          std::to_string(args.size()));
+    }
+    for (size_t i = 0; i < args.size(); ++i) {
+      const BuiltinParam& param = row.params[i];
+      if (!InRange(args[i], param.lo, param.hi)) {
+        return Status::InvalidArgument(
+            "builtin '" + name + "' parameter '" + param.name + "' is " +
+            std::to_string(args[i]) + ", outside [" +
+            std::to_string(param.lo) + ", " + std::to_string(param.hi) + "]");
+      }
+    }
+    return row.make(args.data());
+  }
+  return Status::InvalidArgument(std::string("unknown ") + KindNoun(kind) +
+                                 " '" + name + "'");
+}
+
 }  // namespace mitos::lang

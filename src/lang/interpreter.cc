@@ -224,7 +224,7 @@ StatusOr<Datum> Interpreter::EvalScalar(const Expr& expr) {
     }
     default:
       return Status::InvalidArgument("expected a scalar expression, got: " +
-                                     lang::ToString(expr));
+                                     lang::ToSource(expr));
   }
 }
 
@@ -337,7 +337,7 @@ StatusOr<DatumVector> Interpreter::EvalBag(const Expr& expr) {
     }
     default:
       return Status::InvalidArgument("expected a bag expression, got: " +
-                                     lang::ToString(expr));
+                                     lang::ToSource(expr));
   }
 }
 

@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <map>
+#include <limits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/logging.h"
@@ -26,7 +27,7 @@ enum class TokKind {
 struct Token {
   TokKind kind = TokKind::kEnd;
   std::string text;
-  int64_t int_value = 0;
+  uint64_t magnitude = 0;  // kInt; saturates at UINT64_MAX
   double float_value = 0;
   int line = 1;
   int col = 1;
@@ -88,7 +89,7 @@ class Lexer {
           token.float_value = std::strtod(number.c_str(), nullptr);
         } else {
           token.kind = TokKind::kInt;
-          token.int_value = std::strtoll(number.c_str(), nullptr, 10);
+          token.magnitude = std::strtoull(number.c_str(), nullptr, 10);
         }
         tokens.push_back(std::move(token));
         continue;
@@ -200,7 +201,7 @@ class Lexer {
   int col_ = 1;
 };
 
-// ----- builtin user-function registry -----
+// ----- builtin function references -----
 
 // A parsed function reference: name plus optional int64 literal arguments,
 // e.g. addInt64(1) or modEquals(2, 0).
@@ -211,115 +212,16 @@ struct FnRef {
   int col = 0;
 };
 
-Status FnError(const FnRef& ref, const std::string& message) {
-  return Status::InvalidArgument("line " + std::to_string(ref.line) +
-                                 ", col " + std::to_string(ref.col) + ": " +
-                                 message);
-}
-
-Status WrongArity(const FnRef& ref, size_t want) {
-  return FnError(ref, "builtin '" + ref.name + "' expects " +
-                          std::to_string(want) + " argument(s), got " +
-                          std::to_string(ref.args.size()));
-}
-
-StatusOr<UnaryFn> ResolveUnary(const FnRef& ref) {
-  auto need = [&](size_t n) -> Status {
-    if (ref.args.size() != n) return WrongArity(ref, n);
-    return Status::Ok();
-  };
-  if (ref.name == "identity") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::Identity();
+// Looks `ref` up in the builtin table (lang/functions.h).
+template <typename Fn>
+StatusOr<Fn> Resolve(FnKind kind, const FnRef& ref) {
+  StatusOr<AnyFn> fn = MakeBuiltin(kind, ref.name, ref.args);
+  if (!fn.ok()) {
+    return Status::InvalidArgument("line " + std::to_string(ref.line) +
+                                   ", col " + std::to_string(ref.col) + ": " +
+                                   fn.status().message());
   }
-  if (ref.name == "pairWithOne") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::PairWithOne();
-  }
-  if (ref.name == "absDiff") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::AbsDiffFields12();
-  }
-  if (ref.name == "field") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::Field(static_cast<size_t>(ref.args[0]));
-  }
-  if (ref.name == "addInt64") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::AddInt64(ref.args[0]);
-  }
-  if (ref.name == "mulInt64") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::MulInt64(ref.args[0]);
-  }
-  if (ref.name == "sumJoin") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::SumJoin();
-  }
-  if (ref.name == "pairSwap") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::PairSwap();
-  }
-  if (ref.name == "strLen") {
-    MITOS_RETURN_IF_ERROR(need(0));
-    return fns::StrLen();
-  }
-  if (ref.name == "strTag") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::StrTag(ref.args[0]);
-  }
-  return FnError(ref, "unknown element function '" + ref.name + "'");
-}
-
-StatusOr<PredicateFn> ResolvePredicate(const FnRef& ref) {
-  auto need = [&](size_t n) -> Status {
-    if (ref.args.size() != n) return WrongArity(ref, n);
-    return Status::Ok();
-  };
-  if (ref.name == "modEquals") {
-    MITOS_RETURN_IF_ERROR(need(2));
-    return fns::Int64ModEquals(ref.args[0], ref.args[1]);
-  }
-  if (ref.name == "gtInt64") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::GtInt64(ref.args[0]);
-  }
-  if (ref.name == "ltInt64") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::LtInt64(ref.args[0]);
-  }
-  if (ref.name == "strLenGt") {
-    MITOS_RETURN_IF_ERROR(need(1));
-    return fns::StrLenGt(ref.args[0]);
-  }
-  if (ref.name == "fieldEquals") {
-    MITOS_RETURN_IF_ERROR(need(2));
-    return fns::FieldEquals(static_cast<size_t>(ref.args[0]),
-                            Datum::Int64(ref.args[1]));
-  }
-  return FnError(ref, "unknown predicate '" + ref.name + "'");
-}
-
-StatusOr<BinaryFn> ResolveBinary(const FnRef& ref) {
-  if (!ref.args.empty()) return WrongArity(ref, 0);
-  if (ref.name == "sumInt64") return fns::SumInt64();
-  if (ref.name == "sumDouble") return fns::SumDouble();
-  if (ref.name == "minInt64") return fns::MinInt64();
-  if (ref.name == "maxInt64") return fns::MaxInt64();
-  if (ref.name == "keepLast") return fns::KeepLast();
-  return FnError(ref, "unknown combiner '" + ref.name + "'");
-}
-
-StatusOr<FlatMapFn> ResolveFlatMap(const FnRef& ref) {
-  if (ref.name == "dup") {
-    if (!ref.args.empty()) return WrongArity(ref, 0);
-    return fns::Dup();
-  }
-  if (ref.name == "rangeTo") {
-    if (!ref.args.empty()) return WrongArity(ref, 0);
-    return fns::RangeTo();
-  }
-  return FnError(ref, "unknown flatMap function '" + ref.name + "'");
+  return std::get<Fn>(std::move(fn).value());
 }
 
 // ----- parser -----
@@ -569,29 +471,26 @@ class Parser {
     StatusOr<FnRef> ref = ParseFnRef();
     if (!ref.ok()) return ref.status();
     if (method == "map") {
-      StatusOr<UnaryFn> fn = ResolveUnary(*ref);
+      StatusOr<UnaryFn> fn = Resolve<UnaryFn>(FnKind::kUnary, *ref);
       if (!fn.ok()) return fn.status();
       return Map(std::move(receiver), *fn);
     }
     if (method == "filter") {
-      StatusOr<PredicateFn> fn = ResolvePredicate(*ref);
+      StatusOr<PredicateFn> fn =
+          Resolve<PredicateFn>(FnKind::kPredicate, *ref);
       if (!fn.ok()) return fn.status();
       return Filter(std::move(receiver), *fn);
     }
     if (method == "flatMap") {
-      StatusOr<FlatMapFn> fn = ResolveFlatMap(*ref);
+      StatusOr<FlatMapFn> fn = Resolve<FlatMapFn>(FnKind::kFlatMap, *ref);
       if (!fn.ok()) return fn.status();
       return FlatMap(std::move(receiver), *fn);
     }
-    if (method == "reduceByKey") {
-      StatusOr<BinaryFn> fn = ResolveBinary(*ref);
+    if (method == "reduceByKey" || method == "reduce") {
+      StatusOr<BinaryFn> fn = Resolve<BinaryFn>(FnKind::kBinary, *ref);
       if (!fn.ok()) return fn.status();
-      return ReduceByKey(std::move(receiver), *fn);
-    }
-    if (method == "reduce") {
-      StatusOr<BinaryFn> fn = ResolveBinary(*ref);
-      if (!fn.ok()) return fn.status();
-      return Reduce(std::move(receiver), *fn);
+      return method == "reduce" ? Reduce(std::move(receiver), *fn)
+                                : ReduceByKey(std::move(receiver), *fn);
     }
     return ErrorHere("unknown method '" + method + "'");
   }
@@ -610,14 +509,30 @@ class Parser {
           if (!Check(TokKind::kInt)) {
             return ErrorHere("expected integer literal argument");
           }
-          int64_t v = Peek().int_value;
-          ++pos_;
-          ref.args.push_back(negative ? -v : v);
+          StatusOr<int64_t> v = TakeInt(negative);
+          if (!v.ok()) return v.status();
+          ref.args.push_back(*v);
         } while (MatchTok(TokKind::kComma));
       }
       MITOS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
     }
     return ref;
+  }
+
+  // Consumes the current kInt token as an int64, negated if a '-' came
+  // before it. -9223372036854775808 is in range, so every int64 that
+  // ToSource prints reads back; a literal beyond the range is an error, not
+  // a silent clamp.
+  StatusOr<int64_t> TakeInt(bool negative) {
+    const uint64_t magnitude = Peek().magnitude;
+    const uint64_t limit =
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) +
+        (negative ? 1 : 0);
+    if (magnitude > limit) return ErrorHere("integer literal out of range");
+    ++pos_;
+    if (!negative) return static_cast<int64_t>(magnitude);
+    return magnitude == limit ? std::numeric_limits<int64_t>::min()
+                              : -static_cast<int64_t>(magnitude);
   }
 
   // One element of a bagOf(...) literal: an int, float, or string scalar,
@@ -637,9 +552,9 @@ class Parser {
     }
     bool negative = MatchTok(TokKind::kMinus);
     if (Check(TokKind::kInt)) {
-      int64_t v = Peek().int_value;
-      ++pos_;
-      return Datum::Int64(negative ? -v : v);
+      StatusOr<int64_t> v = TakeInt(negative);
+      if (!v.ok()) return v.status();
+      return Datum::Int64(*v);
     }
     if (Check(TokKind::kFloat)) {
       double v = Peek().float_value;
@@ -656,9 +571,9 @@ class Parser {
 
   StatusOr<ExprPtr> ParsePrimary() {
     if (Check(TokKind::kInt)) {
-      int64_t v = Peek().int_value;
-      ++pos_;
-      return LitInt(v);
+      StatusOr<int64_t> v = TakeInt(/*negative=*/false);
+      if (!v.ok()) return v.status();
+      return LitInt(*v);
     }
     if (Check(TokKind::kFloat)) {
       double v = Peek().float_value;

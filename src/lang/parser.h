@@ -14,9 +14,11 @@
 //     day = day + 1;
 //   } while (day <= 365);
 //
-// User functions are referenced by name from a registry of builtins
-// (pairWithOne, sumInt64, identity, field(i), addInt64(k),
-// modEquals(m, r), ...). This keeps the surface language closed — exactly
+// User functions are referenced by name from the builtin table,
+// MITOS_BUILTINS in lang/functions.h: one row per builtin gives its name,
+// its int64 literal parameters with their valid ranges, and its body. A
+// reference with the wrong argument count or an argument out of range is
+// a parse error. This keeps the surface language closed — exactly
 // the situation of an external DSL like SystemDS' language, which the
 // paper names as an alternative frontend whose compiler "can naturally
 // inspect the control flow" (Sec. 3).

@@ -94,7 +94,7 @@ class Checker {
       return Status::InvalidArgument(
           std::string(where) + " has wrong type (" +
           (want == VarType::kBag ? "bag" : "scalar") + " expected): " +
-          lang::ToString(expr));
+          lang::ToSource(expr));
     }
     return Status::Ok();
   }

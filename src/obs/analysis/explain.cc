@@ -100,7 +100,7 @@ StatusOr<ExplainPlan> BuildExplain(const lang::Program& program,
   if (!compiled.ok()) return compiled.status();
 
   ExplainPlan plan;
-  plan.ast = lang::ToString(program);
+  plan.ast = lang::ToSource(program);
   plan.ssa = ir::ToString(compiled->program());
   plan.graph = compiled->graph();
   plan.operator_cpu = options.operator_cpu;

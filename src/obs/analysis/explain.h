@@ -35,7 +35,7 @@ struct ExplainOptions {
 };
 
 struct ExplainPlan {
-  std::string ast;  // lang::ToString of the source program
+  std::string ast;  // lang::ToSource of the source program
   std::string ssa;  // ir::ToString after the optimization pipeline
   dataflow::LogicalGraph graph;
   std::map<std::string, double> operator_cpu;  // back-filled costs

@@ -1036,9 +1036,13 @@ std::string BagOperatorHost::DebugState() const {
       const int b = inputs_[i].IndexOf(bag.chosen[i]);
       if (b >= 0) {
         const InputBagEntry& entry = inputs_[i].bags[static_cast<size_t>(b)];
-        s += "(" + std::to_string(entry.chunks.size()) + "ch," +
-             std::to_string(entry.markers) + "/" +
-             std::to_string(inputs_[i].expected_markers) + "mk)";
+        s += '(';
+        s += std::to_string(entry.chunks.size());
+        s += "ch,";
+        s += std::to_string(entry.markers);
+        s += '/';
+        s += std::to_string(inputs_[i].expected_markers);
+        s += "mk)";
       }
     }
     s += ")";

@@ -37,31 +37,47 @@ std::string FormatDouble(double value) {
 }  // namespace
 
 std::string FaultPlan::ToString() const {
+  // Built by appends only: g++ 12 reports a false -Wrestrict on
+  // "literal" + std::string temporaries.
   std::string out;
-  auto add = [&out](const std::string& piece) {
+  auto start = [&out](const char* key) {
     if (!out.empty()) out += "; ";
-    out += piece;
+    out += key;
   };
   for (const Crash& c : crashes) {
-    std::string piece = "crash=" + std::to_string(c.machine) + "@" +
-                        FormatDouble(c.at);
-    if (c.restart_after >= 0) piece += "+" + FormatDouble(c.restart_after);
-    add(piece);
+    start("crash=");
+    out += std::to_string(c.machine);
+    out += '@';
+    out += FormatDouble(c.at);
+    if (c.restart_after >= 0) {
+      out += '+';
+      out += FormatDouble(c.restart_after);
+    }
   }
   if (drop_probability > 0) {
-    add("drop=" + FormatDouble(drop_probability) + "@" +
-        std::to_string(drop_seed));
+    start("drop=");
+    out += FormatDouble(drop_probability);
+    out += '@';
+    out += std::to_string(drop_seed);
   }
   for (const Slowdown& s : slowdowns) {
-    std::string piece = "slow=" + std::to_string(s.machine) + "x" +
-                        FormatDouble(s.multiplier);
+    start("slow=");
+    out += std::to_string(s.machine);
+    out += 'x';
+    out += FormatDouble(s.multiplier);
     if (s.from > 0 || s.until != kForever) {
-      piece += "@" + FormatDouble(s.from);
-      if (s.until != kForever) piece += ":" + FormatDouble(s.until);
+      out += '@';
+      out += FormatDouble(s.from);
+      if (s.until != kForever) {
+        out += ':';
+        out += FormatDouble(s.until);
+      }
     }
-    add(piece);
   }
-  if (checkpoint_every > 0) add("ckpt=" + std::to_string(checkpoint_every));
+  if (checkpoint_every > 0) {
+    start("ckpt=");
+    out += std::to_string(checkpoint_every);
+  }
   return out;
 }
 

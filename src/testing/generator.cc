@@ -1,6 +1,8 @@
 #include "testing/generator.h"
 
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -64,7 +66,11 @@ class Generator {
   void Emit(lang::StmtPtr stmt) { out_->push_back(std::move(stmt)); }
   void Count(const char* op) { ++(*hist_)[op]; }
 
-  std::string NewVar() { return "v" + std::to_string(var_counter_++); }
+  std::string NewVar() {
+    std::string name = "v";
+    name += std::to_string(var_counter_++);
+    return name;
+  }
 
   Shape RandomShape() {
     switch (rng_.NextBelow(4)) {
@@ -223,7 +229,7 @@ class Generator {
         switch (rng_.NextBelow(3)) {
           case 0:
             rhs = lang::Filter(lang::Var(in),
-                               lang::fns::Int64ModEquals(
+                               lang::fns::ModEquals(
                                    2 + rng_.NextInRange(0, 2),
                                    rng_.NextInRange(0, 1)));
             break;
@@ -272,7 +278,7 @@ class Generator {
           case 1:  // |lv - rv|: int bag
             Emit(lang::Assign(name,
                               lang::Map(joined,
-                                        lang::fns::AbsDiffFields12())));
+                                        lang::fns::AbsDiff())));
             bags_.push_back({name, Shape::kInt});
             break;
           default:  // matched keys: int bag
@@ -364,8 +370,7 @@ class Generator {
             name,
             lang::Filter(lang::Var(in),
                          lang::fns::FieldEquals(
-                             0, Datum::Int64(rng_.NextInRange(
-                                    0, opts_.key_range - 1))))));
+                             0, rng_.NextInRange(0, opts_.key_range - 1)))));
         Count("filter");
         bags_.push_back({name, Shape::kPair});
         break;
@@ -567,7 +572,9 @@ class Generator {
   void EmitWrite() {
     Count("write");
     const BagVar& b = bags_[rng_.NextBelow(bags_.size())];
-    ExprPtr name = lang::LitString("o" + std::to_string(file_counter_++));
+    std::string file = "o";
+    file += std::to_string(file_counter_++);
+    ExprPtr name = lang::LitString(std::move(file));
     for (const std::string& counter : loop_counters_) {
       name = lang::Concat(lang::Concat(name, lang::LitString("_")),
                           lang::Var(counter));
@@ -604,22 +611,28 @@ class Generator {
     }
   }
 
-  // Only commutative + associative combiners: engines reduce in partition
-  // order, the reference in literal order, so an order-dependent combiner
-  // (keepLast, say) diverges legally — found by this very fuzzer on seed
-  // 2499428271988735912, where reduce(keepLast) over bagOf(11, 11, 0)
-  // keeps 0 sequentially and 11 distributed. The fns:: factories carry the
-  // vectorized i64 fast paths, so generated programs exercise the typed
-  // reducer state as well as the generic one.
+  // Only the builtin table's commutative + associative int64 combiners, in
+  // table order: engines reduce in partition order, the reference in
+  // literal order, so an order-dependent combiner (keepLast, say) diverges
+  // legally — found by this very fuzzer on seed 2499428271988735912, where
+  // reduce(keepLast) over bagOf(11, 11, 0) keeps 0 sequentially and 11
+  // distributed. These rows carry the vectorized i64 fast paths, so
+  // generated programs exercise the typed reducer state as well as the
+  // generic one.
   lang::BinaryFn RandomCombiner() {
-    switch (rng_.NextBelow(3)) {
-      case 0:
-        return lang::fns::SumInt64();
-      case 1:
-        return lang::fns::MinInt64();
-      default:
-        return lang::fns::MaxInt64();
-    }
+    static const std::vector<const lang::Builtin*> combiners = [] {
+      std::vector<const lang::Builtin*> rows;
+      for (const lang::Builtin& row : lang::Builtins()) {
+        if (row.kind == lang::FnKind::kBinary &&
+            row.domain == lang::BuiltinDomain::kInt64 && row.commutative() &&
+            row.associative()) {
+          rows.push_back(&row);
+        }
+      }
+      return rows;
+    }();
+    const lang::Builtin& row = *combiners[rng_.NextBelow(combiners.size())];
+    return std::get<lang::BinaryFn>(row.make(nullptr));
   }
 
   // ----- fault plans -----

@@ -13,7 +13,7 @@
 //     (i < k with k <= max_trip and i incremented exactly once per
 //     iteration), even when a data-dependent conjunct
 //     (scalarOf(bag.count()) > t) is mixed in;
-//   * round-trips: only parser-registry functions are used, so
+//   * round-trips: only builtin-table functions are used, so
 //     lang::Parse(lang::ToSource(program)) reconstructs the program — the
 //     basis of self-contained repro files (testing/repro.h).
 //

@@ -118,8 +118,9 @@ std::optional<StmtList> RewriteStmts(const StmtList& list, int* k,
 
 // Integer arguments live *inside* function values, printed as part of the
 // name ("addInt64(40)"). To shrink them, rewrite the name text and
-// re-resolve it through the parser registry — the same authority repro
-// files go through — instead of poking at closures.
+// re-resolve it through the parser's builtin table — the same authority
+// repro files go through — instead of poking at closures. A shrunk
+// argument outside its parameter's range fails to parse and is skipped.
 std::vector<std::string> ShrunkFnNames(const std::string& name) {
   const size_t l = name.find('(');
   if (l == std::string::npos || name.back() != ')') return {};

@@ -44,7 +44,7 @@ lang::Program VisitCountProgram(const VisitCountOptions& options) {
           // (page, type, 1) -> keep type 0, rebuild (page, 1).
           pb.Assign("filteredVisits",
                     lang::Filter(Var("taggedVisits"),
-                                 fns::FieldEquals(1, Datum::Int64(0))));
+                                 fns::FieldEquals(1, 0)));
           pb.Assign("visitPairs",
                     lang::Map(Var("filteredVisits"),
                               {"dropType", [](const Datum& t) {
@@ -61,7 +61,7 @@ lang::Program VisitCountProgram(const VisitCountOptions& options) {
             pb.Assign("joinedYesterday",
                       lang::Join(Var("yesterdayCounts"), Var("counts")));
             pb.Assign("diffs", lang::Map(Var("joinedYesterday"),
-                                         fns::AbsDiffFields12()));
+                                         fns::AbsDiff()));
             pb.Assign("summed",
                       lang::Reduce(Var("diffs"), fns::SumInt64()));
             pb.WriteFile(Var("summed"),
@@ -279,9 +279,6 @@ lang::Program ConnectedComponentsProgram() {
                                                   [](const Datum& v) {
                                                     return Datum::Pair(v, v);
                                                   }}));
-  lang::BinaryFn min_label = {"minInt64", [](const Datum& a, const Datum& b) {
-                                return a.int64() <= b.int64() ? a : b;
-                              }};
   pb.Assign("changes", lang::BagLit({Datum::Int64(1)}));  // enter the loop
   pb.While(lang::Gt(lang::ScalarFromBag(Var("changes")), LitInt(0)), [&] {
     // Propagate labels along edges: (v, neighbor, label) -> (neighbor,
@@ -293,7 +290,7 @@ lang::Program ConnectedComponentsProgram() {
                          }}));
     pb.Assign("newLabels",
               lang::ReduceByKey(lang::Union(Var("messages"), Var("labels")),
-                                min_label));
+                                fns::MinInt64()));
     // Count label changes to decide convergence: (v, old, new).
     pb.Assign("diffs",
               lang::Filter(lang::Join(Var("labels"), Var("newLabels")),

@@ -62,7 +62,11 @@ class ProgramGenerator {
     BagShape shape;
   };
 
-  std::string NewVar() { return "v" + std::to_string(counter_++); }
+  std::string NewVar() {
+    std::string name = "v";
+    name += std::to_string(counter_++);
+    return name;
+  }
 
   DatumVector RandomBag(BagShape shape) {
     DatumVector data;
@@ -130,7 +134,7 @@ class ProgramGenerator {
         std::string name = NewVar();
         pb_.Assign(name,
                    lang::Filter(lang::Var(in),
-                                lang::fns::Int64ModEquals(
+                                lang::fns::ModEquals(
                                     2 + rng_.NextInRange(0, 2),
                                     0)));
         bags_.push_back({name, BagShape::kInt});
@@ -284,7 +288,7 @@ TEST_P(RandomProgramTest, AllEnginesMatchReference) {
   auto ref = ::mitos::api::Run(EngineKind::kReference, program, &fs_ref);
   ASSERT_TRUE(ref.ok()) << "seed " << seed << ": "
                         << ref.status().ToString() << "\n"
-                        << lang::ToString(program);
+                        << lang::ToSource(program);
 
   struct Variant {
     EngineKind engine;
@@ -309,14 +313,14 @@ TEST_P(RandomProgramTest, AllEnginesMatchReference) {
     ASSERT_TRUE(result.ok())
         << "seed " << seed << " " << EngineKindName(v.engine) << "@"
         << v.machines << ": " << result.status().ToString() << "\n"
-        << lang::ToString(program);
+        << lang::ToSource(program);
     ASSERT_EQ(fs_ref.ListFiles(), fs.ListFiles())
         << "seed " << seed << " " << EngineKindName(v.engine);
     for (const std::string& name : fs_ref.ListFiles()) {
       ASSERT_EQ(Sorted(*fs_ref.Read(name)), Sorted(*fs.Read(name)))
           << "seed " << seed << " " << EngineKindName(v.engine) << "@"
           << v.machines << " differs in " << name << "\nprogram:\n"
-          << lang::ToString(program);
+          << lang::ToSource(program);
     }
   }
 }

@@ -63,8 +63,10 @@ TEST(GraphTest, ToDotIsWellFormedGraphviz) {
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
   // Every node id appears; braces balance.
   for (const LogicalNode& node : g.nodes) {
-    EXPECT_NE(dot.find("n" + std::to_string(node.id) + " "),
-              std::string::npos);
+    std::string id = "n";
+    id += std::to_string(node.id);
+    id += ' ';
+    EXPECT_NE(dot.find(id), std::string::npos);
   }
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'),
             std::count(dot.begin(), dot.end(), '}'));

@@ -40,7 +40,7 @@ TEST(OperatorsTest, MapTransformsEveryElement) {
 }
 
 TEST(OperatorsTest, FilterKeepsMatching) {
-  FilterOp op(lang::fns::Int64ModEquals(2, 1));
+  FilterOp op(lang::fns::ModEquals(2, 1));
   DatumVector out = RunBag(op, {{0, Ints({1, 2, 3, 4, 5})}});
   EXPECT_EQ(out, Ints({1, 3, 5}));
 }
@@ -260,12 +260,12 @@ TEST(OperatorsTest, ColumnarMatchesBoxedAcrossKernels) {
       {"map.pairSwap", [] { return std::make_unique<MapOp>(
                                 lang::fns::PairSwap()); }, &pairs},
       {"map.scaleDouble", [] { return std::make_unique<MapOp>(
-                                   lang::fns::ScaleDouble(1.5)); }, &doubles},
+                                   lang::fns::ScaleDouble(3)); }, &doubles},
       {"filter.gt", [] { return std::make_unique<FilterOp>(
                              lang::fns::GtInt64(10)); }, &ints},
       {"filter.fieldEquals", [] { return std::make_unique<FilterOp>(
-                                      lang::fns::FieldEquals(
-                                          0, Datum::Int64(2))); }, &pairs},
+                                      lang::fns::FieldEquals(0, 2)); },
+       &pairs},
       {"flatMap.dup", [] { return std::make_unique<FlatMapOp>(
                                lang::fns::Dup()); }, &ints},
       {"reduceByKey.sum", [] { return std::make_unique<ReduceByKeyOp>(

@@ -44,7 +44,7 @@ TEST(FusionTest, FusedChainComputesSameResult) {
                                Datum::Int64(3), Datum::Int64(4)}));
   pb.Assign("r",
             lang::Filter(lang::Map(lang::Var("b"), lang::fns::AddInt64(1)),
-                         lang::fns::Int64ModEquals(2, 1)));
+                         lang::fns::ModEquals(2, 1)));
   pb.WriteFile(lang::Var("r"), lang::LitString("out"));
   lang::Program program = pb.Build();
 

@@ -24,7 +24,7 @@ void ExpectSameFileOutputs(const Program& original,
   auto normalized = Normalize(original);
   ASSERT_TRUE(normalized.ok()) << normalized.status().ToString();
   ASSERT_TRUE(IsNormalized(normalized->program))
-      << lang::ToString(normalized->program);
+      << lang::ToSource(normalized->program);
 
   sim::SimFileSystem fs_a = inputs;
   sim::SimFileSystem fs_b = inputs;
@@ -33,7 +33,7 @@ void ExpectSameFileOutputs(const Program& original,
   ASSERT_TRUE(interp_a.Run(original).ok());
   Status status_b = interp_b.Run(normalized->program);
   ASSERT_TRUE(status_b.ok()) << status_b.ToString() << "\nnormalized:\n"
-                             << lang::ToString(normalized->program);
+                             << lang::ToSource(normalized->program);
 
   EXPECT_EQ(fs_a.ListFiles(), fs_b.ListFiles());
   for (const std::string& name : fs_a.ListFiles()) {
@@ -45,7 +45,7 @@ TEST(NormalizeTest, SplitsChainedBagOps) {
   ProgramBuilder pb;
   pb.Assign("b", lang::BagLit(Ints({1, 2, 3})));
   pb.Assign("r", lang::Filter(lang::Map(lang::Var("b"), lang::fns::AddInt64(1)),
-                              lang::fns::Int64ModEquals(2, 0)));
+                              lang::fns::ModEquals(2, 0)));
   auto result = Normalize(pb.Build());
   ASSERT_TRUE(result.ok());
   // b = bagLit; _t1 = b.map; r = _t1.filter  => 3 statements.
@@ -162,7 +162,7 @@ TEST(NormalizeTest, PreservesSemanticsVisitCountDiff) {
           pb.Assign("joined",
                     lang::Join(lang::Var("yesterday"), lang::Var("counts")));
           pb.Assign("diffs", lang::Map(lang::Var("joined"),
-                                       lang::fns::AbsDiffFields12()));
+                                       lang::fns::AbsDiff()));
           pb.Assign("summed",
                     lang::Reduce(lang::Var("diffs"), lang::fns::SumInt64()));
           pb.WriteFile(lang::Var("summed"),

@@ -190,7 +190,7 @@ TEST(SsaTest, VisitCountDiffMatchesPaperShape) {
               "joinedYesterday",
               lang::Join(lang::Var("yesterdayCnts"), lang::Var("counts")));
           pb.Assign("diffs", lang::Map(lang::Var("joinedYesterday"),
-                                       lang::fns::AbsDiffFields12()));
+                                       lang::fns::AbsDiff()));
           pb.Assign("summed",
                     lang::Reduce(lang::Var("diffs"), lang::fns::SumInt64()));
           pb.Assign("outFileName",

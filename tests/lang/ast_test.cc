@@ -30,33 +30,33 @@ TEST(AstTest, IsBagExprKindClassification) {
 }
 
 TEST(AstTest, PrinterRendersExpressions) {
-  EXPECT_EQ(ToString(*Add(Var("day"), LitInt(1))), "(day + 1)");
-  EXPECT_EQ(ToString(*Concat(LitString("log"), Var("day"))),
-            "(\"log\" concat day)");
-  EXPECT_EQ(ToString(*Map(Var("v"), fns::PairWithOne())),
+  EXPECT_EQ(ToSource(*Add(Var("day"), LitInt(1))), "(day + 1)");
+  EXPECT_EQ(ToSource(*Concat(LitString("log"), Var("day"))),
+            "(\"log\" ++ day)");
+  EXPECT_EQ(ToSource(*Map(Var("v"), fns::PairWithOne())),
             "v.map(pairWithOne)");
-  EXPECT_EQ(ToString(*Join(Var("a"), Var("b"))), "(a join b)");
-  EXPECT_EQ(ToString(*Not(Var("c"))), "!(c)");
+  EXPECT_EQ(ToSource(*Join(Var("a"), Var("b"))), "a.join(b)");
+  EXPECT_EQ(ToSource(*Not(Var("c"))), "!(c)");
 }
 
 TEST(AstTest, PrinterRendersStatements) {
   StmtPtr s = Assign("x", LitInt(3));
-  EXPECT_EQ(ToString(*s), "x = 3\n");
+  EXPECT_EQ(ToSource(Program{{s}}), "x = 3;\n");
 
   StmtPtr w = While(Le(Var("i"), LitInt(2)), {Assign("i", LitInt(9))});
-  std::string text = ToString(*w);
-  EXPECT_NE(text.find("while (i <= 2) do"), std::string::npos);
-  EXPECT_NE(text.find("  i = 9"), std::string::npos);
-  EXPECT_NE(text.find("end while"), std::string::npos);
+  std::string text = ToSource(Program{{w}});
+  EXPECT_NE(text.find("while ((i <= 2)) {"), std::string::npos);
+  EXPECT_NE(text.find("  i = 9;"), std::string::npos);
+  EXPECT_NE(text.find("\n}\n"), std::string::npos);
 }
 
 TEST(AstTest, PrinterRendersIfElse) {
   StmtPtr s = If(Var("c"), {Assign("a", LitInt(1))},
                  {Assign("a", LitInt(2))});
-  std::string text = ToString(*s);
-  EXPECT_NE(text.find("if c then"), std::string::npos);
-  EXPECT_NE(text.find("else"), std::string::npos);
-  EXPECT_NE(text.find("end if"), std::string::npos);
+  std::string text = ToSource(Program{{s}});
+  EXPECT_NE(text.find("if (c) {"), std::string::npos);
+  EXPECT_NE(text.find("} else {"), std::string::npos);
+  EXPECT_NE(text.find("  a = 2;\n}\n"), std::string::npos);
 }
 
 TEST(BuilderTest, BuildsFlatProgram) {
@@ -110,11 +110,11 @@ TEST(BuilderTest, ProgramPrintsRoundTrippableText) {
         pb.Assign("day", Add(Var("day"), LitInt(1)));
       },
       Le(Var("day"), LitInt(365)));
-  std::string text = ToString(pb.Build());
-  EXPECT_NE(text.find("readFile((\"pageVisitLog\" concat day))"),
+  std::string text = ToSource(pb.Build());
+  EXPECT_NE(text.find("readFile((\"pageVisitLog\" ++ day))"),
             std::string::npos);
   EXPECT_NE(text.find(".reduceByKey(sumInt64)"), std::string::npos);
-  EXPECT_NE(text.find("while (day <= 365)"), std::string::npos);
+  EXPECT_NE(text.find("} while ((day <= 365));"), std::string::npos);
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST_F(InterpreterTest, MapFilterFlatMap) {
   ProgramBuilder pb;
   pb.Assign("b", BagLit(Ints({1, 2, 3, 4})));
   pb.Assign("m", Map(Var("b"), fns::AddInt64(10)));
-  pb.Assign("f", Filter(Var("b"), fns::Int64ModEquals(2, 0)));
+  pb.Assign("f", Filter(Var("b"), fns::ModEquals(2, 0)));
   pb.Assign("fm", FlatMap(Var("b"), {"dup", [](const Datum& x) {
                                        return DatumVector{x, x};
                                      }}));
@@ -227,7 +227,7 @@ TEST_F(InterpreterTest, VisitCountDiffProgramEndToEnd) {
                                         fns::SumInt64()));
         pb.If(Ne(Var("day"), LitInt(1)), [&] {
           pb.Assign("joined", Join(Var("yesterday"), Var("counts")));
-          pb.Assign("diffs", Map(Var("joined"), fns::AbsDiffFields12()));
+          pb.Assign("diffs", Map(Var("joined"), fns::AbsDiff()));
           pb.Assign("summed", Reduce(Var("diffs"), fns::SumInt64()));
           pb.WriteFile(Var("summed"), Concat(LitString("diff"), Var("day")));
         });

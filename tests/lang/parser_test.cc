@@ -178,6 +178,31 @@ TEST(ParserTest, ErrorsCarryLineAndColumn) {
   EXPECT_NE(bad_arity.status().message().find("expects"), std::string::npos);
 }
 
+// A builtin argument outside its parameter's range is an InvalidArgument
+// naming the builtin and the parameter, not an abort at run time.
+TEST(ParserTest, BuiltinArgumentsOutOfRangeAreParseErrors) {
+  const struct {
+    const char* source;
+    const char* param;
+  } cases[] = {
+      {"b = bagOf(1, 2).filter(modEquals(0, 1));", "'modulus'"},
+      {"b = bagOf(1, 2).filter(modEquals(-3, 1));", "'modulus'"},
+      {"b = bagOf((1, 2)).map(field(-1));", "'i'"},
+      {"b = bagOf((1, 2)).filter(fieldEquals(-2, 0));", "'i'"},
+  };
+  for (const auto& c : cases) {
+    auto program = Parse(c.source);
+    ASSERT_FALSE(program.ok()) << c.source;
+    EXPECT_EQ(program.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = program.status().message();
+    EXPECT_NE(message.find("line 1, col "), std::string::npos) << message;
+    EXPECT_NE(message.find(c.param), std::string::npos) << message;
+  }
+  // The bounds themselves are in range.
+  EXPECT_TRUE(Parse("b = bagOf(1).filter(modEquals(1, 0));").ok());
+  EXPECT_TRUE(Parse("b = bagOf((1, 2)).map(field(0));").ok());
+}
+
 TEST(ParserTest, CommentsAndWhitespaceIgnored) {
   auto program = Parse(R"(
     // leading comment

@@ -129,7 +129,7 @@ TEST(TypeCheckTest, AcceptsVisitCountProgram) {
                                         fns::SumInt64()));
         pb.If(Ne(Var("day"), LitInt(1)), [&] {
           pb.Assign("joined", Join(Var("yesterdayCounts"), Var("counts")));
-          pb.Assign("diffs", Map(Var("joined"), fns::AbsDiffFields12()));
+          pb.Assign("diffs", Map(Var("joined"), fns::AbsDiff()));
           pb.Assign("summed", Reduce(Var("diffs"), fns::SumInt64()));
           pb.WriteFile(Var("summed"), Concat(LitString("diff"), Var("day")));
         });

@@ -191,7 +191,7 @@ TEST(MitosExecutorTest, LoopInvariantJoinInsideLoop) {
                                        lang::fns::PairWithOne())));
         pb.Assign("interesting",
                   lang::Filter(lang::Var("tagged"),
-                               lang::fns::FieldEquals(1, Datum::Int64(0))));
+                               lang::fns::FieldEquals(1, 0)));
         pb.WriteFile(lang::Var("interesting"),
                      lang::Concat(lang::LitString("out"), lang::Var("day")));
         pb.Assign("day", lang::Add(lang::Var("day"), lang::LitInt(1)));

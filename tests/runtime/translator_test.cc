@@ -75,7 +75,7 @@ TEST(TranslatorTest, ElementwiseOpsInheritProducerParallelism) {
   pb.Assign("big", lang::ReadFile(lang::LitString("f")));
   pb.Assign("m1", lang::Map(lang::Var("big"), lang::fns::Identity()));
   pb.Assign("m2", lang::Filter(lang::Var("m1"),
-                               lang::fns::Int64ModEquals(2, 0)));
+                               lang::fns::ModEquals(2, 0)));
   LogicalGraph g = TranslateProgram(pb.Build(), 6);
   for (const LogicalNode& n : g.nodes) {
     if (n.kind == NodeKind::kMap || n.kind == NodeKind::kFilter) {

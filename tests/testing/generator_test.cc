@@ -59,8 +59,8 @@ TEST(GeneratorTest, RoundTripsThroughParser) {
         << "seed " << seed;
   }
   // Deep/wide configs reach rarer vocabulary (e.g. the join→absDiff arm,
-  // whose registry spelling once diverged from lang/functions.h) — the
-  // whole op surface must stay within the parser registry.
+  // whose parser spelling once diverged from its factory's) — the whole
+  // op surface must stay within the builtin table.
   GeneratorOptions deep;
   deep.max_depth = 6;
   deep.budget = 26;
