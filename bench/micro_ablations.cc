@@ -18,12 +18,16 @@ namespace {
 runtime::RunStats RunWith(const lang::Program& program,
                           const sim::SimFileSystem& inputs,
                           const sim::ClusterConfig& cluster_config,
-                          const runtime::ExecutorOptions& options) {
+                          const runtime::ExecutorOptions& options,
+                          runtime::PlanOptions plan_options = {}) {
+  plan_options.machines = cluster_config.num_machines;
+  auto plan = runtime::CompilePlan(program, plan_options);
+  MITOS_CHECK(plan.ok()) << plan.status().ToString();
   sim::SimFileSystem fs = inputs;
   sim::Simulator sim;
   sim::Cluster cluster(&sim, cluster_config);
-  runtime::MitosExecutor executor(&sim, &cluster, &fs, options);
-  auto stats = executor.Run(program);
+  runtime::DesBackend backend(&sim, &cluster);
+  auto stats = runtime::ExecutePlan(&backend, &fs, *plan, options);
   MITOS_CHECK(stats.ok()) << stats.status().ToString();
   return *stats;
 }
@@ -47,11 +51,9 @@ void DeadCodeAblation() {
 
   sim::ClusterConfig cluster;
   cluster.num_machines = 8;
-  runtime::ExecutorOptions with_dce;
-  runtime::ExecutorOptions without_dce;
-  without_dce.dead_code_elimination = false;
-  auto a = RunWith(program, {}, cluster, with_dce);
-  auto b = RunWith(program, {}, cluster, without_dce);
+  auto a = RunWith(program, {}, cluster, {});
+  auto b = RunWith(program, {}, cluster, {},
+                   {.dead_code_elimination = false});
   std::printf("with DCE:    %8.4fs  bags=%lld\n", a.total_seconds,
               static_cast<long long>(a.bags));
   std::printf("without DCE: %8.4fs  bags=%lld\n", b.total_seconds,
@@ -106,11 +108,8 @@ void FusionAblation() {
 
   sim::ClusterConfig cluster;
   cluster.num_machines = 8;
-  runtime::ExecutorOptions plain;
-  runtime::ExecutorOptions fused;
-  fused.operator_fusion = true;
-  auto a = RunWith(program, {}, cluster, plain);
-  auto b = RunWith(program, {}, cluster, fused);
+  auto a = RunWith(program, {}, cluster, {});
+  auto b = RunWith(program, {}, cluster, {}, {.operator_fusion = true});
   std::printf("unfused: %8.3fs  bags=%lld  msgs=%lld\n", a.total_seconds,
               static_cast<long long>(a.bags),
               static_cast<long long>(a.cluster.messages));

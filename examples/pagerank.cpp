@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "api/engine.h"
-#include "ir/ssa.h"
-#include "runtime/translator.h"
+#include "ir/ir.h"
 #include "workloads/generators.h"
 #include "workloads/programs.h"
 
@@ -25,20 +24,20 @@ int main() {
   lang::Program program = workloads::PageRankProgram(
       {.iterations = 15, .num_vertices = 200});
 
-  // Show the compilation pipeline: imperative -> SSA -> dataflow job.
-  auto ir = ir::CompileToIr(program);
-  if (!ir.ok()) {
-    std::printf("compile error: %s\n", ir.status().ToString().c_str());
+  // Compile once: imperative -> SSA -> one dataflow job, shown here.
+  auto plan = api::Compile(program, {.machines = 4});
+  if (!plan.ok()) {
+    std::printf("compile error: %s\n", plan.status().ToString().c_str());
     return 1;
   }
   std::printf("--- SSA IR (paper Fig. 3a style) ---\n%s\n",
-              ir::ToString(*ir).c_str());
-  auto translated = runtime::Translate(*ir, 4);
+              ir::ToString(plan->program()).c_str());
   std::printf("--- dataflow job (one node per assignment) ---\n%s\n",
-              dataflow::ToString(translated->graph).c_str());
+              dataflow::ToString(plan->graph()).c_str());
 
+  // ...then run it.
   auto result =
-      api::Run(api::EngineKind::kMitos, program, &fs, {.machines = 4});
+      api::Execute(api::EngineKind::kMitos, *plan, &fs, {.machines = 4});
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
     return 1;

@@ -305,9 +305,7 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
     }
     options.metrics = config.metrics;
     return OnBackend(engine, config, [&](runtime::Backend* backend) {
-      baselines::SparkDriver driver(backend->simulator(), backend->cluster(),
-                                    fs, options);
-      return driver.Run(program);
+      return baselines::RunSpark(backend, fs, program, options);
     });
   }
   if (engine == EngineKind::kFlink && config.flink_strict) {
@@ -340,8 +338,7 @@ StatusOr<RunResult> Engine::Profiled(StatusOr<RunResult> result) {
 StatusOr<obs::analysis::ExplainPlan> Engine::Explain(
     const lang::Program& program) const {
   obs::analysis::ExplainOptions options;
-  options.machines = config_.machines;
-  options.operator_fusion = config_.mitos_operator_fusion;
+  options.plan = CompileOptions(kind_, config_);
   if (has_profile_) options.operator_cpu = last_operator_cpu_;
   return obs::analysis::BuildExplain(program, options);
 }

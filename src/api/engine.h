@@ -82,7 +82,8 @@ struct RunConfig {
   double spark_launch_per_machine = 0.115;
   double flink_jobs_launch_base = 0.09;
   double flink_jobs_launch_per_machine = 0.100;
-  // Strict Flink expressiveness checking (see baselines/flink.h).
+  // Strict Flink expressiveness checking: api::Run rejects a kFlink program
+  // that fails baselines::CheckNativeIterationExpressible.
   bool flink_strict = false;
   // Elementwise operator fusion for the Mitos engines (ir/fusion.h).
   bool mitos_operator_fusion = false;
@@ -184,11 +185,11 @@ class Engine {
   StatusOr<RunResult> Execute(const runtime::Plan& plan,
                               sim::SimFileSystem* fs);
 
-  // Compile-only: exports the plan this engine would execute (same IR
-  // pipeline as the Mitos engines — DCE, optional fusion, translation).
-  // Never advances virtual time. Costs are annotated when a prior Run()
-  // profiled the program; pass `profile = nullptr` explicitly via
-  // ExplainOptions to suppress.
+  // Compile-only: exports the plan this engine would execute, compiled
+  // with the options Run uses for this kind (DCE, translation, and fusion
+  // for the Mitos engines only: the baselines always run unfused). Never
+  // advances virtual time. Costs are annotated when a prior Run() profiled
+  // the program.
   StatusOr<obs::analysis::ExplainPlan> Explain(
       const lang::Program& program) const;
 

@@ -14,15 +14,17 @@
 // static check. Programs that fail the check must fall back to launching a
 // job per step ("Flink (separate jobs)" in Fig. 7), which is the Spark
 // driver with Flink launch constants.
+//
+// Like every engine, it runs a Plan from runtime::CompilePlan through
+// runtime::ExecutePlan; api::Run compiles it (unfused) and applies the
+// check when RunConfig::flink_strict asks for it.
 #ifndef MITOS_BASELINES_FLINK_H_
 #define MITOS_BASELINES_FLINK_H_
 
 #include "common/status.h"
 #include "lang/ast.h"
 #include "runtime/executor.h"
-#include "sim/cluster.h"
 #include "sim/filesystem.h"
-#include "sim/simulator.h"
 
 namespace mitos::baselines {
 
@@ -33,27 +35,17 @@ Status CheckNativeIterationExpressible(const lang::Program& program);
 struct FlinkOptions {
   // Per-superstep synchronization overhead (FLINK-3322-style).
   double step_overhead = 0.030;
-  // When true, programs outside the native-iteration fragment are rejected
-  // with Unimplemented (callers then fall back to per-step jobs). When
-  // false, they run anyway — this mirrors the paper's own evaluation, which
-  // reports "Flink" numbers for Visit Count despite the restrictions, and
-  // keeps the comparison about *performance* (barrier vs pipelining).
-  bool strict = false;
   // Optional metrics registry (src/obs/); tracing rides on the recorder
-  // attached to the cluster.
+  // attached to the backend.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Runs `program` as one barriered native-iteration job.
-StatusOr<runtime::RunStats> RunFlinkSim(sim::Simulator* sim,
-                                        sim::Cluster* cluster,
-                                        sim::SimFileSystem* fs,
-                                        const lang::Program& program,
-                                        const FlinkOptions& options = {});
-
-// Runs an already-compiled, unfused plan (runtime/plan.h) the same way.
-// `options.strict` needs the source program, so it is rejected here with
-// InvalidArgument: check CheckNativeIterationExpressible before compiling.
+// Runs an unfused plan (runtime/plan.h) as one barriered native-iteration
+// job on `backend`. Programs outside the native-iteration fragment run
+// anyway — this mirrors the paper's own evaluation, which reports "Flink"
+// numbers for Visit Count despite the restrictions, and keeps the
+// comparison about *performance* (barrier vs pipelining); callers that
+// want the restriction check CheckNativeIterationExpressible first.
 StatusOr<runtime::RunStats> RunFlinkSim(runtime::Backend* backend,
                                         sim::SimFileSystem* fs,
                                         const runtime::Plan& plan,

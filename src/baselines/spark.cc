@@ -1,14 +1,14 @@
 #include "baselines/spark.h"
 
+#include <functional>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
-#include "ir/ssa.h"
-#include "ir/verify.h"
 #include "lang/scalar_ops.h"
+#include "runtime/plan.h"
 #include "runtime/spark_cache.h"
-#include "runtime/translator.h"
 
 namespace mitos::baselines {
 
@@ -21,13 +21,62 @@ using lang::StmtKind;
 using lang::StmtList;
 using lang::StmtPtr;
 
-}  // namespace
+// One run of the driver: its environments, RDD cache and statistics live
+// exactly as long as the program it interprets.
+class SparkDriver {
+ public:
+  SparkDriver(runtime::Backend* backend, sim::SimFileSystem* fs,
+              const SparkOptions& options)
+      : backend_(backend), fs_(fs), options_(options) {}
 
-SparkDriver::SparkDriver(sim::Simulator* sim, sim::Cluster* cluster,
-                         sim::SimFileSystem* fs, SparkOptions options)
-    : sim_(sim), cluster_(cluster), fs_(fs), options_(options) {
-  MITOS_CHECK(sim && cluster && fs);
-}
+  StatusOr<runtime::RunStats> Run(const lang::Program& program);
+
+ private:
+  // Lineage is a lang::Expr tree whose leaves are readFile/bagLit nodes and
+  // whose variable references have been substituted away. Shared subtrees
+  // (the same assignment referenced twice) share Expr nodes, which is what
+  // the cache map keys on.
+  using Lineage = lang::ExprPtr;
+
+  StatusOr<Datum> EvalScalar(const lang::Expr& expr);
+  StatusOr<bool> EvalCondition(const lang::Expr& expr);
+  StatusOr<std::string> EvalFilename(const lang::Expr& expr);
+  // Substitutes bag variables with their lineage; evaluates embedded scalar
+  // expressions (file names, wrapped scalars) eagerly in the driver.
+  StatusOr<Lineage> ResolveBag(const lang::Expr& expr);
+
+  Status RunStmts(const lang::StmtList& stmts);
+  Status RunStmt(const lang::Stmt& stmt);
+
+  // Runs one job computing `action` and writing it to `sink_file`; also
+  // materializes every named, not-yet-cached bag used by the job into the
+  // RDD cache. Collect actions write to a cache file and read it back.
+  Status RunJob(const Lineage& action, const std::string& sink_file);
+  // Collects a (one-element) bag into the driver.
+  StatusOr<DatumVector> Collect(const Lineage& lineage);
+
+  // Returns true when `lineage` is a leaf that needs no caching (literal,
+  // plain file read, or an existing cache read).
+  static bool IsLeaf(const lang::Expr& expr);
+
+  runtime::Backend* backend_;
+  sim::SimFileSystem* fs_;
+  const SparkOptions& options_;
+
+  std::map<std::string, Datum> scalar_env_;
+  std::map<std::string, Lineage> bag_env_;
+  // Materialized lineage nodes -> cache file name.
+  std::map<const lang::Expr*, std::string> cached_;
+  // Named bags awaiting materialization by the next job.
+  std::map<const lang::Expr*, std::string> pending_cache_names_;
+  // Keeps every node used as a cache key alive: the maps above key on raw
+  // pointers, and a freed node's address could be reused by a fresh one.
+  std::vector<Lineage> cache_key_keepalive_;
+
+  int64_t next_cache_id_ = 0;
+  int64_t driver_iterations_ = 0;
+  runtime::RunStats stats_;
+};
 
 bool SparkDriver::IsLeaf(const Expr& expr) {
   return expr.kind == ExprKind::kBagLit ||
@@ -35,22 +84,15 @@ bool SparkDriver::IsLeaf(const Expr& expr) {
 }
 
 StatusOr<runtime::RunStats> SparkDriver::Run(const lang::Program& program) {
-  double t0 = sim_->now();
-  stats_ = runtime::RunStats{};
+  const double t0 = backend_->now();
   stats_.jobs = 0;
-  scalar_env_.clear();
-  bag_env_.clear();
-  cached_.clear();
-  pending_cache_names_.clear();
-  cache_key_keepalive_.clear();
-
   MITOS_RETURN_IF_ERROR(RunStmts(program.stmts));
 
   // Drop the RDD cache.
   for (const std::string& name : fs_->ListFiles()) {
     if (runtime::IsCacheFile(name)) fs_->Remove(name);
   }
-  stats_.total_seconds = sim_->now() - t0;
+  stats_.total_seconds = backend_->now() - t0;
   return stats_;
 }
 
@@ -418,12 +460,9 @@ Status SparkDriver::RunJob(const Lineage& action,
   job.stmts.push_back(
       lang::WriteFile(lang::Var(*action_var), lang::LitString(sink_file)));
 
-  StatusOr<ir::Program> ir_program = ir::CompileToIr(job);
-  if (!ir_program.ok()) return ir_program.status();
-  MITOS_RETURN_IF_ERROR(ir::Verify(*ir_program));
-  StatusOr<runtime::TranslateResult> translated =
-      runtime::Translate(*ir_program, cluster_->num_machines());
-  if (!translated.ok()) return translated.status();
+  StatusOr<runtime::Plan> plan = runtime::CompilePlan(
+      job, runtime::PlanOptions{.machines = backend_->num_machines()});
+  if (!plan.ok()) return plan.status();
 
   runtime::ExecutorOptions exec_options;
   exec_options.launch_base = options_.launch_base;
@@ -432,8 +471,8 @@ Status SparkDriver::RunJob(const Lineage& action,
   // Spark executes jobs as stages: shuffle outputs materialize before the
   // next stage starts.
   exec_options.blocking_shuffles = true;
-  StatusOr<runtime::RunStats> job_stats = runtime::ExecuteJob(
-      sim_, cluster_, fs_, *ir_program, translated->graph, exec_options);
+  StatusOr<runtime::RunStats> job_stats =
+      runtime::ExecutePlan(backend_, fs_, *plan, exec_options);
   if (!job_stats.ok()) return job_stats.status();
 
   stats_.jobs += 1;
@@ -464,6 +503,15 @@ StatusOr<DatumVector> SparkDriver::Collect(const Lineage& lineage) {
   StatusOr<DatumVector> data = fs_->Read(file);
   fs_->Remove(file);
   return data;
+}
+
+}  // namespace
+
+StatusOr<runtime::RunStats> RunSpark(runtime::Backend* backend,
+                                     sim::SimFileSystem* fs,
+                                     const lang::Program& program,
+                                     const SparkOptions& options) {
+  return SparkDriver(backend, fs, options).Run(program);
 }
 
 }  // namespace mitos::baselines

@@ -6,7 +6,7 @@
 // C++, free in virtual time). Bag assignments are lazy and build RDD-style
 // lineage; an *action* (writeFile, or collecting a bag value into a driver
 // scalar/condition) compiles the required lineage into a straight-line
-// dataflow job and runs it on the simulated cluster, paying the per-job
+// dataflow job and runs it on the backend, paying the per-job
 // launch overhead (base + per-machine, hence linear in the machine count —
 // Fig. 7). Named bags computed by a job are materialized into the in-memory
 // RDD cache so later jobs re-read instead of recomputing — but operators
@@ -19,16 +19,11 @@
 #define MITOS_BASELINES_SPARK_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "lang/ast.h"
 #include "runtime/executor.h"
-#include "sim/cluster.h"
 #include "sim/filesystem.h"
-#include "sim/simulator.h"
 
 namespace mitos::baselines {
 
@@ -39,69 +34,20 @@ struct SparkOptions {
   // Guard against runaway driver loops.
   int64_t max_driver_iterations = 10'000'000;
   // Optional metrics registry (src/obs/); tracing rides on the recorder
-  // attached to the cluster.
+  // attached to the backend.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-class SparkDriver {
- public:
-  SparkDriver(sim::Simulator* sim, sim::Cluster* cluster,
-              sim::SimFileSystem* fs, SparkOptions options = {});
-
-  SparkDriver(const SparkDriver&) = delete;
-  SparkDriver& operator=(const SparkDriver&) = delete;
-
-  // Interprets `program`; outputs land in the file system. Cache files
-  // ("mem:*") are removed afterwards.
-  StatusOr<runtime::RunStats> Run(const lang::Program& program);
-
- private:
-  // Lineage is a lang::Expr tree whose leaves are readFile/bagLit nodes and
-  // whose variable references have been substituted away. Shared subtrees
-  // (the same assignment referenced twice) share Expr nodes, which is what
-  // the cache map keys on.
-  using Lineage = lang::ExprPtr;
-
-  StatusOr<Datum> EvalScalar(const lang::Expr& expr);
-  StatusOr<bool> EvalCondition(const lang::Expr& expr);
-  StatusOr<std::string> EvalFilename(const lang::Expr& expr);
-  // Substitutes bag variables with their lineage; evaluates embedded scalar
-  // expressions (file names, wrapped scalars) eagerly in the driver.
-  StatusOr<Lineage> ResolveBag(const lang::Expr& expr);
-
-  Status RunStmts(const lang::StmtList& stmts);
-  Status RunStmt(const lang::Stmt& stmt);
-
-  // Runs one job computing `action` and writing it to `sink_file`; also
-  // materializes every named, not-yet-cached bag used by the job into the
-  // RDD cache. Collect actions write to a cache file and read it back.
-  Status RunJob(const Lineage& action, const std::string& sink_file);
-  // Collects a (one-element) bag into the driver.
-  StatusOr<DatumVector> Collect(const Lineage& lineage);
-
-  // Returns true when `lineage` is a leaf that needs no caching (literal,
-  // plain file read, or an existing cache read).
-  static bool IsLeaf(const lang::Expr& expr);
-
-  sim::Simulator* sim_;
-  sim::Cluster* cluster_;
-  sim::SimFileSystem* fs_;
-  SparkOptions options_;
-
-  std::map<std::string, Datum> scalar_env_;
-  std::map<std::string, Lineage> bag_env_;
-  // Materialized lineage nodes -> cache file name.
-  std::map<const lang::Expr*, std::string> cached_;
-  // Named bags awaiting materialization by the next job.
-  std::map<const lang::Expr*, std::string> pending_cache_names_;
-  // Keeps every node used as a cache key alive: the maps above key on raw
-  // pointers, and a freed node's address could be reused by a fresh one.
-  std::vector<Lineage> cache_key_keepalive_;
-
-  int64_t next_cache_id_ = 0;
-  int64_t driver_iterations_ = 0;
-  runtime::RunStats stats_;
-};
+// Interprets `program` in the driver on `backend`; outputs land in the file
+// system. Each action compiles its lineage with runtime::CompilePlan and
+// runs it with runtime::ExecutePlan, paying the modelled launch overhead;
+// RunStats::total_seconds is the backend's clock from start to finish.
+// Cache files ("mem:*") are removed afterwards. The driver keeps no state
+// across calls. api::Run runs it on the DES only.
+StatusOr<runtime::RunStats> RunSpark(runtime::Backend* backend,
+                                     sim::SimFileSystem* fs,
+                                     const lang::Program& program,
+                                     const SparkOptions& options = {});
 
 }  // namespace mitos::baselines
 

@@ -1,5 +1,7 @@
 #include "lang/ast.h"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -316,8 +318,14 @@ void SourceExpr(const Expr& e, std::ostream& out) {
   switch (e.kind) {
     case ExprKind::kLit:
       if (e.lit.is_int64() && e.lit.int64() < 0) {
-        // The expression grammar has no unary minus.
-        out << "(0 - " << -e.lit.int64() << ')';
+        // The expression grammar has no unary minus. INT64_MIN has no
+        // positive counterpart, so it is spelled as INT64_MAX's negation
+        // minus one.
+        if (e.lit.int64() == std::numeric_limits<int64_t>::min()) {
+          out << "((0 - " << std::numeric_limits<int64_t>::max() << ") - 1)";
+        } else {
+          out << "(0 - " << -e.lit.int64() << ')';
+        }
       } else if (e.lit.is_bool()) {
         out << (e.lit.boolean() ? "true" : "false");
       } else {

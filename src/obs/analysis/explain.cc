@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "runtime/plan.h"
-
 namespace mitos::obs::analysis {
 
 namespace {
@@ -91,12 +89,8 @@ std::string ExplainPlan::ToJson() const {
 
 StatusOr<ExplainPlan> BuildExplain(const lang::Program& program,
                                    const ExplainOptions& options) {
-  runtime::PlanOptions plan_options;
-  plan_options.machines = options.machines;
-  plan_options.dead_code_elimination = options.dead_code_elimination;
-  plan_options.operator_fusion = options.operator_fusion;
   StatusOr<runtime::Plan> compiled =
-      runtime::CompilePlan(program, plan_options);
+      runtime::CompilePlan(program, options.plan);
   if (!compiled.ok()) return compiled.status();
 
   ExplainPlan plan;

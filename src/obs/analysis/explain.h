@@ -19,16 +19,15 @@
 #include "dataflow/graph.h"
 #include "ir/ir.h"
 #include "lang/ast.h"
+#include "runtime/plan.h"
 
 namespace mitos::obs::analysis {
 
 struct ExplainOptions {
-  // Instance count for data-parallel operators (normally the machine
-  // count); part of the plan, so part of EXPLAIN.
-  int machines = 4;
-  // Match the executing engine's IR pipeline.
-  bool dead_code_elimination = true;
-  bool operator_fusion = false;
+  // The compile options of the plan to explain: machine count (the
+  // instance count of data-parallel operators), DCE and fusion. Pass the
+  // executing engine's options to explain the plan it runs.
+  runtime::PlanOptions plan;
   // Busy-CPU seconds per operator name from a profiled run
   // (RunStats::operator_cpu); empty = no cost back-fill.
   std::map<std::string, double> operator_cpu;

@@ -758,28 +758,6 @@ StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
   return last_error;
 }
 
-StatusOr<RunStats> ExecuteJob(sim::Simulator* sim, sim::Cluster* cluster,
-                              sim::SimFileSystem* fs,
-                              const ir::Program& program,
-                              const dataflow::LogicalGraph& graph,
-                              const ExecutorOptions& options) {
-  DesBackend backend(sim, cluster);
-  return ExecuteJob(&backend, fs, program, graph, options);
-}
-
-namespace {
-
-// The compile options MitosExecutor derives from its ExecutorOptions.
-PlanOptions PlanOptionsFor(const ExecutorOptions& options, int machines) {
-  PlanOptions plan_options;
-  plan_options.machines = machines;
-  plan_options.dead_code_elimination = options.dead_code_elimination;
-  plan_options.operator_fusion = options.operator_fusion;
-  return plan_options;
-}
-
-}  // namespace
-
 StatusOr<RunStats> ExecutePlan(Backend* backend, sim::SimFileSystem* fs,
                                const Plan& plan,
                                const ExecutorOptions& options) {
@@ -790,31 +768,6 @@ StatusOr<RunStats> ExecutePlan(Backend* backend, sim::SimFileSystem* fs,
         std::to_string(backend->num_machines()));
   }
   return ExecuteJob(backend, fs, plan.program(), plan.graph(), options);
-}
-
-MitosExecutor::MitosExecutor(sim::Simulator* sim, sim::Cluster* cluster,
-                             sim::SimFileSystem* fs, ExecutorOptions options)
-    : owned_des_(std::make_unique<DesBackend>(sim, cluster)),
-      backend_(owned_des_.get()),
-      fs_(fs),
-      options_(options) {}
-
-MitosExecutor::MitosExecutor(Backend* backend, sim::SimFileSystem* fs,
-                             ExecutorOptions options)
-    : backend_(backend), fs_(fs), options_(options) {}
-
-StatusOr<RunStats> MitosExecutor::Run(const lang::Program& program) {
-  StatusOr<Plan> plan =
-      CompilePlan(program, PlanOptionsFor(options_, backend_->num_machines()));
-  if (!plan.ok()) return plan.status();
-  return ExecutePlan(backend_, fs_, *plan, options_);
-}
-
-StatusOr<RunStats> MitosExecutor::RunIr(const ir::Program& program) {
-  StatusOr<Plan> plan =
-      CompilePlan(program, PlanOptionsFor(options_, backend_->num_machines()));
-  if (!plan.ok()) return plan.status();
-  return ExecutePlan(backend_, fs_, *plan, options_);
 }
 
 }  // namespace mitos::runtime

@@ -1,16 +1,16 @@
 // Job execution: assembles hosts, control flow managers, and the path
-// authority over a simulated cluster, runs a single (possibly cyclic)
-// dataflow job to completion, and reports statistics.
+// authority on a runtime::Backend, runs a single (possibly cyclic) dataflow
+// job to completion, and reports statistics.
 //
-// MitosExecutor is the paper's full pipeline: imperative program →
-// Preparator → SSA → single dataflow job → coordinated distributed
-// execution. The same Job machinery also executes the straight-line
-// per-action jobs of the Spark baseline (baselines/spark.h).
+// The paper's pipeline is compile once, then run: runtime::CompilePlan
+// (runtime/plan.h) turns the imperative program into one immutable Plan,
+// and ExecutePlan below runs it on a backend. That pair is the one way to
+// start a job; every engine takes it, including the straight-line
+// per-action jobs of the Spark driver (baselines/spark.h).
 #ifndef MITOS_RUNTIME_EXECUTOR_H_
 #define MITOS_RUNTIME_EXECUTOR_H_
 
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -45,21 +45,14 @@ struct ExecutorOptions {
   // Materialize shuffle outputs before transmitting (Spark-style stage
   // execution). Streaming engines (Flink, Mitos) pipeline shuffles instead.
   bool blocking_shuffles = false;
-  // Prune statements no sink or condition depends on before translation
-  // (dead loop Φs cost per-iteration coordination). Off = ablation. A
-  // compile option: read by MitosExecutor::Run/RunIr only (PlanOptions).
-  bool dead_code_elimination = true;
   // Discard cached input bags and gated output partitions the execution
   // path proves dead (Sec. 5.2.4). Off = ablation (memory grows with the
   // iteration count).
   bool discard_spent_bags = true;
   // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:209.
   bool step_templates = false;
-  // Fuse same-block single-consumer elementwise chains into one operator
-  // (Flink/Spark-style chaining; ir/fusion.h). Opt-in: kept off by default
-  // so the dataflow graph matches the paper's one-node-per-assignment
-  // construction; the ablation bench measures its effect. A compile
-  // option, like dead_code_elimination.
+  // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:208. Fusion
+  // is a compile option: PlanOptions::operator_fusion.
   bool operator_fusion = false;
   // Columnar chunk plane (common/chunk.h): homogeneous batches travel as
   // typed columns and kernels vectorize over them. Off = every chunk stays
@@ -80,7 +73,7 @@ struct ExecutorOptions {
   // is byte-identical to a run with the plane disabled.
   obs::live::LiveOptions live;
   // Fault plan (caller-owned, already installed on the cluster; nullptr =
-  // fault handling off). With a plan, ExecuteJob runs an attempt loop:
+  // fault handling off). With a plan, ExecutePlan runs an attempt loop:
   // failed attempts (machine lost, stalled) are discarded and the job
   // re-executes from the last completed control-flow step, replaying
   // surviving bags (lineage over bag identifiers) at zero cost.
@@ -116,55 +109,23 @@ struct RunStats {
   std::string ToString() const;
 };
 
-// Runs ONE dataflow job (graph + its IR program for control flow) on the
-// given backend, starting at the backend's current time and blocking until
-// the job drains. Fault handling (options.faults) requires a DES backend
+// Runs `plan` as one dataflow job on `backend`, starting at the backend's
+// current time and blocking until the job drains. InvalidArgument when the
+// backend's machine count differs from the one the plan was compiled for.
+// The plan is only read, so several executions may share it, concurrently
+// included. Fault handling (options.faults) requires a DES backend
 // (backend->simulator() != nullptr).
-StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
-                              const ir::Program& program,
-                              const dataflow::LogicalGraph& graph,
-                              const ExecutorOptions& options);
-
-// Convenience overload over the discrete-event substrate (wraps the pair
-// in a DesBackend; byte-identical to the pre-seam runtime).
-StatusOr<RunStats> ExecuteJob(sim::Simulator* sim, sim::Cluster* cluster,
-                              sim::SimFileSystem* fs,
-                              const ir::Program& program,
-                              const dataflow::LogicalGraph& graph,
-                              const ExecutorOptions& options);
-
-// Runs `plan` as one dataflow job on `backend` (ExecuteJob over the plan's
-// IR and graph). InvalidArgument when the backend's machine count differs
-// from the one the plan was compiled for. The plan is only read, so several
-// executions may share it, concurrently included.
 StatusOr<RunStats> ExecutePlan(Backend* backend, sim::SimFileSystem* fs,
                                const Plan& plan,
                                const ExecutorOptions& options);
 
-// The full Mitos engine: compile (TypeCheck + Preparator + SSA + translate)
-// and execute as a single dataflow job. Run and RunIr compile a fresh plan
-// (runtime/plan.h) and hand it to ExecutePlan.
-class MitosExecutor {
- public:
-  MitosExecutor(sim::Simulator* sim, sim::Cluster* cluster,
-                sim::SimFileSystem* fs, ExecutorOptions options = {});
-  // Executes on an arbitrary backend (e.g. the real-parallel threads
-  // backend); the caller keeps `backend` alive for the executor's lifetime.
-  MitosExecutor(Backend* backend, sim::SimFileSystem* fs,
-                ExecutorOptions options = {});
-
-  // Compiles and runs `program`; outputs land in the file system.
-  StatusOr<RunStats> Run(const lang::Program& program);
-
-  // Runs an already-compiled IR program.
-  StatusOr<RunStats> RunIr(const ir::Program& program);
-
- private:
-  std::unique_ptr<DesBackend> owned_des_;  // set by the sim/cluster ctor
-  Backend* backend_;
-  sim::SimFileSystem* fs_;
-  ExecutorOptions options_;
-};
+// ExecutePlan over a bare IR program and graph, without the machine-count
+// check. Kept only for bench/ledger/mitos_bench_traced.cc, which times the
+// compile stages one by one; everything else runs a Plan.
+StatusOr<RunStats> ExecuteJob(Backend* backend, sim::SimFileSystem* fs,
+                              const ir::Program& program,
+                              const dataflow::LogicalGraph& graph,
+                              const ExecutorOptions& options);
 
 }  // namespace mitos::runtime
 

@@ -11,18 +11,15 @@
 
 namespace mitos::runtime {
 
-StatusOr<Plan> CompilePlan(const lang::Program& program,
+StatusOr<Plan> CompilePlan(const lang::Program& source,
                            const PlanOptions& options) {
-  StatusOr<ir::Program> compiled = ir::CompileToIr(program);
+  StatusOr<ir::Program> compiled = ir::CompileToIr(source);
   if (!compiled.ok()) return compiled.status();
-  return CompilePlan(std::move(*compiled), options);
-}
-
-StatusOr<Plan> CompilePlan(ir::Program program, const PlanOptions& options) {
   if (options.machines < 1) {
     return Status::InvalidArgument("a plan needs at least one machine, got " +
                                    std::to_string(options.machines));
   }
+  ir::Program program = std::move(compiled).value();
   MITOS_RETURN_IF_ERROR(ir::Verify(program));
   if (options.dead_code_elimination) {
     StatusOr<ir::DceResult> pruned = ir::EliminateDeadCode(program);
@@ -39,12 +36,12 @@ StatusOr<Plan> CompilePlan(ir::Program program, const PlanOptions& options) {
   StatusOr<TranslateResult> translated = Translate(program, options.machines);
   if (!translated.ok()) return translated.status();
 
-  auto compiled = std::make_shared<Plan::Compiled>();
-  compiled->machines = options.machines;
-  compiled->program = std::move(program);
-  compiled->graph = std::move(translated->graph);
-  compiled->var_node = std::move(translated->var_node);
-  return Plan(std::move(compiled));
+  auto plan = std::make_shared<Plan::Compiled>();
+  plan->machines = options.machines;
+  plan->program = std::move(program);
+  plan->graph = std::move(translated->graph);
+  plan->var_node = std::move(translated->var_node);
+  return Plan(std::move(plan));
 }
 
 }  // namespace mitos::runtime

@@ -31,9 +31,14 @@ namespace mitos::runtime {
 struct PlanOptions {
   // Instance count of the data-parallel operators.
   int machines = 4;
-  // Prune statements no sink or condition depends on (ir/dce.h).
+  // Prune statements no sink or condition depends on (ir/dce.h): dead
+  // loop Φs cost per-iteration coordination. Off = ablation
+  // (bench/micro_ablations.cc).
   bool dead_code_elimination = true;
-  // Fuse same-block single-consumer elementwise chains (ir/fusion.h).
+  // Fuse same-block single-consumer elementwise chains into one operator
+  // (Flink/Spark-style chaining; ir/fusion.h). Opt-in: off by default so
+  // the dataflow graph matches the paper's one-node-per-assignment
+  // construction; the ablation bench measures its effect.
   bool operator_fusion = false;
 };
 
@@ -57,19 +62,18 @@ class Plan {
   };
   explicit Plan(std::shared_ptr<const Compiled> compiled)
       : compiled_(std::move(compiled)) {}
-  friend StatusOr<Plan> CompilePlan(ir::Program program,
+  friend StatusOr<Plan> CompilePlan(const lang::Program& program,
                                     const PlanOptions& options);
 
   std::shared_ptr<const Compiled> compiled_;
 };
 
-// The whole pipeline from source.
+// The whole pipeline from source: the one compile sequence. Every engine
+// that runs a dataflow job (the Mitos engines, the native-iteration
+// baselines and each action of the Spark driver), EXPLAIN and
+// `mitos_run --dump-ir/--dump-dot` go through it.
 StatusOr<Plan> CompilePlan(const lang::Program& program,
                            const PlanOptions& options);
-
-// The pipeline after SSA construction, for callers that already hold an
-// IR program (MitosExecutor::RunIr).
-StatusOr<Plan> CompilePlan(ir::Program program, const PlanOptions& options);
 
 }  // namespace mitos::runtime
 

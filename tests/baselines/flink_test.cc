@@ -105,12 +105,7 @@ TEST(FlinkExpressibilityTest, PaperProgramsClassifiedCorrectly) {
 }
 
 TEST(FlinkSimTest, StrictModeRejects) {
-  sim::Simulator sim;
-  sim::ClusterConfig config;
-  config.num_machines = 2;
-  sim::Cluster cluster(&sim, config);
-  sim::SimFileSystem fs;
-  fs.Write("f1", {Datum::Int64(1)});
+  // api::Run's strict Flink mode is this check before compiling.
   ProgramBuilder pb;
   pb.Assign("i", lang::LitInt(1));
   pb.DoWhile(
@@ -120,11 +115,9 @@ TEST(FlinkSimTest, StrictModeRejects) {
         pb.Assign("i", lang::Add(lang::Var("i"), lang::LitInt(1)));
       },
       lang::Lt(lang::Var("i"), lang::LitInt(2)));
-  FlinkOptions options;
-  options.strict = true;
-  auto stats = RunFlinkSim(&sim, &cluster, &fs, pb.Build(), options);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kUnimplemented);
+  Status status = CheckNativeIterationExpressible(pb.Build());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
 }
 
 TEST(FlinkSimTest, PerStepOverheadChargedPerDecision) {
@@ -133,11 +126,14 @@ TEST(FlinkSimTest, PerStepOverheadChargedPerDecision) {
     sim::ClusterConfig config;
     config.num_machines = 2;
     sim::Cluster cluster(&sim, config);
+    runtime::DesBackend backend(&sim, &cluster);
     sim::SimFileSystem fs;
+    auto plan = runtime::CompilePlan(workloads::StepOverheadProgram(10),
+                                     {.machines = 2});
+    MITOS_CHECK(plan.ok()) << plan.status().ToString();
     FlinkOptions options;
     options.step_overhead = overhead;
-    auto stats = RunFlinkSim(&sim, &cluster, &fs,
-                             workloads::StepOverheadProgram(10), options);
+    auto stats = RunFlinkSim(&backend, &fs, *plan, options);
     MITOS_CHECK(stats.ok()) << stats.status().ToString();
     return stats->total_seconds;
   };

@@ -27,18 +27,16 @@ DatumVector Sorted(DatumVector v) {
 class SparkDriverTest : public ::testing::Test {
  protected:
   StatusOr<runtime::RunStats> RunProgram(const lang::Program& program) {
-    sim_ = std::make_unique<sim::Simulator>();
+    sim::Simulator sim;
     sim::ClusterConfig config;
     config.num_machines = 2;
-    cluster_ = std::make_unique<sim::Cluster>(sim_.get(), config);
-    SparkDriver driver(sim_.get(), cluster_.get(), &fs_, options_);
-    return driver.Run(program);
+    sim::Cluster cluster(&sim, config);
+    runtime::DesBackend backend(&sim, &cluster);
+    return RunSpark(&backend, &fs_, program, options_);
   }
 
   sim::SimFileSystem fs_;
   SparkOptions options_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<sim::Cluster> cluster_;
 };
 
 TEST_F(SparkDriverTest, OneJobPerAction) {

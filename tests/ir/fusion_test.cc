@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../runtime/run_on_des.h"
 #include "api/engine.h"
 #include "ir/ssa.h"
 #include "ir/verify.h"
@@ -49,20 +50,10 @@ TEST(FusionTest, FusedChainComputesSameResult) {
   lang::Program program = pb.Build();
 
   sim::SimFileSystem fs_plain, fs_fused;
-  {
-    sim::Simulator sim;
-    sim::Cluster cluster(&sim, {});
-    runtime::MitosExecutor executor(&sim, &cluster, &fs_plain, {});
-    ASSERT_TRUE(executor.Run(program).ok());
-  }
-  {
-    sim::Simulator sim;
-    sim::Cluster cluster(&sim, {});
-    runtime::ExecutorOptions options;
-    options.operator_fusion = true;
-    runtime::MitosExecutor executor(&sim, &cluster, &fs_fused, options);
-    ASSERT_TRUE(executor.Run(program).ok());
-  }
+  ASSERT_TRUE(runtime::RunOnDes(program, &fs_plain, 4).ok());
+  ASSERT_TRUE(runtime::RunOnDes(program, &fs_fused, 4, {},
+                                {.operator_fusion = true})
+                  .ok());
   auto sorted = [](DatumVector v) {
     std::sort(v.begin(), v.end(),
               [](const Datum& a, const Datum& b) { return a < b; });
@@ -107,12 +98,9 @@ TEST(FusionTest, CrossBlockChainsAreNotFused) {
   // loop body's map consumes the Φ (not elementwise) — whatever fuses, the
   // program must stay runnable and correct:
   sim::SimFileSystem fs;
-  sim::Simulator sim;
-  sim::Cluster cluster(&sim, {});
-  runtime::ExecutorOptions options;
-  options.operator_fusion = true;
-  runtime::MitosExecutor executor(&sim, &cluster, &fs, options);
-  ASSERT_TRUE(executor.Run(pb.Build()).ok());
+  ASSERT_TRUE(
+      runtime::RunOnDes(pb.Build(), &fs, 4, {}, {.operator_fusion = true})
+          .ok());
   EXPECT_EQ((*fs.Read("out"))[0].int64(), 3);
 }
 
@@ -127,14 +115,8 @@ TEST(FusionTest, VisitCountWithFusionMatchesReference) {
       api::Run(api::EngineKind::kReference, program, &fs_ref).ok());
 
   sim::SimFileSystem fs = inputs;
-  sim::Simulator sim;
-  sim::ClusterConfig config;
-  config.num_machines = 4;
-  sim::Cluster cluster(&sim, config);
-  runtime::ExecutorOptions options;
-  options.operator_fusion = true;
-  runtime::MitosExecutor executor(&sim, &cluster, &fs, options);
-  auto stats = executor.Run(program);
+  auto stats =
+      runtime::RunOnDes(program, &fs, 4, {}, {.operator_fusion = true});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
   auto sorted = [](DatumVector v) {
@@ -179,14 +161,8 @@ TEST(FusionTest, FusionReducesCoordinatedBags) {
 
   auto run = [&](bool fusion) {
     sim::SimFileSystem fs;
-    sim::Simulator sim;
-    sim::ClusterConfig config;
-    config.num_machines = 2;
-    sim::Cluster cluster(&sim, config);
-    runtime::ExecutorOptions options;
-    options.operator_fusion = fusion;
-    runtime::MitosExecutor executor(&sim, &cluster, &fs, options);
-    auto stats = executor.Run(program);
+    auto stats =
+        runtime::RunOnDes(program, &fs, 2, {}, {.operator_fusion = fusion});
     MITOS_CHECK(stats.ok()) << stats.status().ToString();
     // Results identical regardless of fusion.
     MITOS_CHECK((*fs.Read("out")).size() == 3);

@@ -1,8 +1,13 @@
 #include "lang/ast.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "lang/builder.h"
+#include "lang/interpreter.h"
+#include "lang/parser.h"
 
 namespace mitos::lang {
 namespace {
@@ -115,6 +120,21 @@ TEST(BuilderTest, ProgramPrintsRoundTrippableText) {
             std::string::npos);
   EXPECT_NE(text.find(".reduceByKey(sumInt64)"), std::string::npos);
   EXPECT_NE(text.find("} while ((day <= 365));"), std::string::npos);
+}
+
+TEST(AstTest, Int64MinExpressionLiteralRoundTrips) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Program program;
+  program.stmts.push_back(Assign("x", LitInt(kMin)));
+  std::string text = ToSource(program);
+  StatusOr<Program> parsed = Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+  EXPECT_EQ(ToSource(*parsed), text);
+
+  sim::SimFileSystem fs;
+  Interpreter interpreter(&fs);
+  ASSERT_TRUE(interpreter.Run(*parsed).ok());
+  EXPECT_EQ(interpreter.scalars().at("x"), Datum::Int64(kMin));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ using obs_testing::JsonLint;
 
 TEST(ExplainTest, ExportsAstSsaAndDataflow) {
   lang::Program program = workloads::KMeansProgram({.iterations = 3});
-  auto plan = BuildExplain(program, {.machines = 4});
+  auto plan = BuildExplain(program, {.plan = {.machines = 4}});
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   EXPECT_FALSE(plan->ast.empty());
@@ -32,7 +32,7 @@ TEST(ExplainTest, ExportsAstSsaAndDataflow) {
 
 TEST(ExplainTest, JsonIsValidAndDeterministic) {
   lang::Program program = workloads::VisitCountProgram({.days = 4});
-  auto plan = BuildExplain(program, {.machines = 3});
+  auto plan = BuildExplain(program, {.plan = {.machines = 3}});
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   std::string json = plan->ToJson();
@@ -42,7 +42,7 @@ TEST(ExplainTest, JsonIsValidAndDeterministic) {
   EXPECT_NE(json.find("\"ssa\""), std::string::npos);
   EXPECT_NE(json.find("\"dataflow\""), std::string::npos);
 
-  auto again = BuildExplain(program, {.machines = 3});
+  auto again = BuildExplain(program, {.plan = {.machines = 3}});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(json, again->ToJson());
   EXPECT_EQ(plan->ToDot(), again->ToDot());
@@ -85,12 +85,36 @@ TEST(ExplainTest, MirrorsEnginePipelineOptions) {
   pb.WriteFile(lang::Var("r"), lang::LitString("out"));
   lang::Program program = pb.Build();
 
-  auto plain = BuildExplain(program, {.machines = 4});
-  auto fused =
-      BuildExplain(program, {.machines = 4, .operator_fusion = true});
+  auto plain = BuildExplain(program, {.plan = {.machines = 4}});
+  auto fused = BuildExplain(
+      program, {.plan = {.machines = 4, .operator_fusion = true}});
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(fused.ok());
   EXPECT_LT(fused->graph.nodes.size(), plain->graph.nodes.size());
+}
+
+TEST(ExplainTest, BaselineEnginesExplainTheUnfusedPlanTheyRun) {
+  // Fusion is a Mitos-only compile option: a baseline engine configured
+  // with it still executes, and so must explain, the unfused plan.
+  lang::ProgramBuilder pb;
+  pb.Assign("b", lang::BagLit({Datum::Int64(1), Datum::Int64(2)}));
+  pb.Assign("r", lang::Map(lang::Map(lang::Var("b"), lang::fns::AddInt64(1)),
+                           lang::fns::AddInt64(2)));
+  pb.WriteFile(lang::Var("r"), lang::LitString("out"));
+  lang::Program program = pb.Build();
+  const api::RunConfig fusing = {.machines = 4, .mitos_operator_fusion = true};
+
+  auto unfused = BuildExplain(program, {.plan = {.machines = 4}});
+  ASSERT_TRUE(unfused.ok());
+  for (api::EngineKind kind : {api::EngineKind::kFlink, api::EngineKind::kNaiad,
+                               api::EngineKind::kTensorFlow}) {
+    auto explained = api::Engine(kind, fusing).Explain(program);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_EQ(explained->ssa, unfused->ssa) << api::EngineKindName(kind);
+  }
+  auto mitos = api::Engine(api::EngineKind::kMitos, fusing).Explain(program);
+  ASSERT_TRUE(mitos.ok());
+  EXPECT_NE(mitos->ssa, unfused->ssa);
 }
 
 }  // namespace

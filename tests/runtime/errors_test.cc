@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/builder.h"
-#include "runtime/executor.h"
+#include "run_on_des.h"
 #include "workloads/generators.h"
 
 namespace mitos::runtime {
@@ -11,12 +11,7 @@ namespace {
 
 StatusOr<RunStats> RunMitos(const lang::Program& program,
                             sim::SimFileSystem* fs, int machines = 3) {
-  sim::Simulator sim;
-  sim::ClusterConfig config;
-  config.num_machines = machines;
-  sim::Cluster cluster(&sim, config);
-  MitosExecutor executor(&sim, &cluster, fs, {});
-  return executor.Run(program);
+  return RunOnDes(program, fs, machines);
 }
 
 TEST(RuntimeErrorsTest, MissingFileInsideLoopReportsNotFound) {

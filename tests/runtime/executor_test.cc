@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/builder.h"
+#include "run_on_des.h"
 #include "lang/interpreter.h"
 #include "workloads/programs.h"
 
@@ -38,12 +39,7 @@ RunStats ExpectMitosMatchesReference(const lang::Program& program,
   EXPECT_TRUE(ref_status.ok()) << ref_status.ToString();
 
   sim::SimFileSystem fs_mitos = inputs;
-  sim::Simulator sim;
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_machines = machines;
-  sim::Cluster cluster(&sim, cluster_config);
-  MitosExecutor executor(&sim, &cluster, &fs_mitos, options);
-  StatusOr<RunStats> stats = executor.Run(program);
+  StatusOr<RunStats> stats = RunOnDes(program, &fs_mitos, machines, options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (!stats.ok()) return RunStats{};
 
@@ -278,10 +274,7 @@ TEST(MitosExecutorTest, MissingInputFileFailsCleanly) {
   pb.Assign("b", lang::ReadFile(lang::LitString("missing")));
   pb.WriteFile(lang::Var("b"), lang::LitString("out"));
   sim::SimFileSystem fs;
-  sim::Simulator sim;
-  sim::Cluster cluster(&sim, {});
-  MitosExecutor executor(&sim, &cluster, &fs);
-  StatusOr<RunStats> stats = executor.Run(pb.Build());
+  StatusOr<RunStats> stats = RunOnDes(pb.Build(), &fs, 4);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kNotFound);
 }
@@ -293,12 +286,9 @@ TEST(MitosExecutorTest, RunawayLoopGuard) {
     pb.Assign("i", lang::Add(lang::Var("i"), lang::LitInt(1)));
   });
   sim::SimFileSystem fs;
-  sim::Simulator sim;
-  sim::Cluster cluster(&sim, {});
   ExecutorOptions options;
   options.max_path_len = 50;
-  MitosExecutor executor(&sim, &cluster, &fs, options);
-  StatusOr<RunStats> stats = executor.Run(pb.Build());
+  StatusOr<RunStats> stats = RunOnDes(pb.Build(), &fs, 4, options);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
 }

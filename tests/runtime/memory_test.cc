@@ -3,7 +3,7 @@
 // spent bags accumulate forever.
 #include <gtest/gtest.h>
 
-#include "runtime/executor.h"
+#include "run_on_des.h"
 #include "workloads/generators.h"
 #include "workloads/programs.h"
 
@@ -15,14 +15,9 @@ RunStats RunVisitCount(int days, bool discard) {
   workloads::GenerateVisitLogs(&fs, {.days = days, .entries_per_day = 400,
                                      .num_pages = 50});
   lang::Program program = workloads::VisitCountProgram({.days = days});
-  sim::Simulator sim;
-  sim::ClusterConfig config;
-  config.num_machines = 3;
-  sim::Cluster cluster(&sim, config);
   ExecutorOptions options;
   options.discard_spent_bags = discard;
-  MitosExecutor executor(&sim, &cluster, &fs, options);
-  auto stats = executor.Run(program);
+  auto stats = RunOnDes(program, &fs, 3, options);
   MITOS_CHECK(stats.ok()) << stats.status().ToString();
   return *stats;
 }
@@ -54,14 +49,9 @@ TEST(MemoryTest, DiscardDoesNotChangeResults) {
   lang::Program program = workloads::VisitCountProgram({.days = 6});
   for (bool discard : {true, false}) {
     sim::SimFileSystem* fs = discard ? &fs_a : &fs_b;
-    sim::Simulator sim;
-    sim::ClusterConfig config;
-    config.num_machines = 3;
-    sim::Cluster cluster(&sim, config);
     ExecutorOptions options;
     options.discard_spent_bags = discard;
-    MitosExecutor executor(&sim, &cluster, fs, options);
-    auto stats = executor.Run(program);
+    auto stats = RunOnDes(program, fs, 3, options);
     ASSERT_TRUE(stats.ok());
   }
   for (const std::string& name : fs_a.ListFiles()) {
@@ -76,12 +66,7 @@ TEST(MemoryTest, HoistingKeepsInvariantBagCachedButBounded) {
   workloads::GeneratePageTypes(&fs, {.num_pages = 500, .num_types = 2});
   lang::Program program = workloads::VisitCountProgram(
       {.days = 10, .with_diffs = false, .with_page_types = true});
-  sim::Simulator sim;
-  sim::ClusterConfig config;
-  config.num_machines = 2;
-  sim::Cluster cluster(&sim, config);
-  MitosExecutor executor(&sim, &cluster, &fs, {});
-  auto stats = executor.Run(program);
+  auto stats = RunOnDes(program, &fs, 2);
   ASSERT_TRUE(stats.ok());
   // The invariant dataset (~500 pairs * 20 B = ~10 KB) is cached once at
   // the join; total peak stays within a small multiple of the inputs.

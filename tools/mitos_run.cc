@@ -17,8 +17,9 @@
 //   --gen-types=numPages,numTypes                  synthesize pageTypes
 //   --gen-graph=vertices,edges                     synthesize a graph
 //   --gen-points=points,clusters                   synthesize k-means input
-//   --dump-ir                                      print the SSA IR
-//   --dump-dot                                     print the dataflow (dot)
+//   --dump-ir           print the optimized SSA IR of the plan that runs
+//                       (after dead-code elimination)
+//   --dump-dot          print that plan's dataflow graph (dot)
 //   --explain[=dot|json]  plan EXPLAIN: print the AST → SSA → dataflow
 //                       plan (Graphviz DOT by default, or one JSON object)
 //                       with per-operator cost annotations back-filled from
@@ -93,7 +94,7 @@
 #include <string>
 #include <vector>
 
-#include "ir/ssa.h"
+#include "ir/ir.h"
 #include "lang/parser.h"
 #include "mitos.h"
 #include "obs/analysis/analysis.h"
@@ -102,7 +103,6 @@
 #include "obs/live/prom.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/translator.h"
 #include "sim/fault.h"
 
 namespace {
@@ -307,15 +307,12 @@ int main(int argc, char** argv) {
   }
 
   if (dump_ir || dump_dot) {
-    auto ir = ir::CompileToIr(*program);
-    if (!ir.ok()) return Fail("compile error: " + ir.status().ToString());
-    if (dump_ir) std::printf("%s\n", ir::ToString(*ir).c_str());
+    // The optimized plan: the IR and graph that actually run.
+    auto plan = api::Compile(*program, {.machines = machines});
+    if (!plan.ok()) return Fail("compile error: " + plan.status().ToString());
+    if (dump_ir) std::printf("%s\n", ir::ToString(plan->program()).c_str());
     if (dump_dot) {
-      auto translated = runtime::Translate(*ir, machines);
-      if (!translated.ok()) {
-        return Fail("translate error: " + translated.status().ToString());
-      }
-      std::printf("%s\n", dataflow::ToDot(translated->graph).c_str());
+      std::printf("%s\n", dataflow::ToDot(plan->graph()).c_str());
     }
   }
 
