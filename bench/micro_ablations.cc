@@ -87,42 +87,6 @@ void DiscardRuleAblation() {
   std::printf("(bounded vs growing linearly with the iteration count)\n\n");
 }
 
-void FusionAblation() {
-  std::printf("--- ablation: elementwise operator fusion ---\n");
-  // A loop whose body is a 6-op elementwise chain over a larger bag.
-  lang::ProgramBuilder pb;
-  DatumVector data;
-  for (int i = 0; i < 20'000; ++i) data.push_back(Datum::Int64(i));
-  pb.Assign("data", lang::BagLit(std::move(data)));
-  pb.Assign("i", lang::LitInt(0));
-  pb.While(lang::Lt(lang::Var("i"), lang::LitInt(30)), [&] {
-    lang::ExprPtr chain = lang::Var("data");
-    for (int s = 0; s < 6; ++s) {
-      chain = lang::Map(chain, lang::fns::AddInt64(s % 2 == 0 ? 1 : -1));
-    }
-    pb.Assign("data", chain);
-    pb.Assign("i", lang::Add(lang::Var("i"), lang::LitInt(1)));
-  });
-  pb.WriteFile(lang::Var("data"), lang::LitString("out"));
-  lang::Program program = pb.Build();
-
-  sim::ClusterConfig cluster;
-  cluster.num_machines = 8;
-  auto a = RunWith(program, {}, cluster, {});
-  auto b = RunWith(program, {}, cluster, {}, {.operator_fusion = true});
-  std::printf("unfused: %8.3fs  bags=%lld  msgs=%lld\n", a.total_seconds,
-              static_cast<long long>(a.bags),
-              static_cast<long long>(a.cluster.messages));
-  std::printf("fused:   %8.3fs  bags=%lld  msgs=%lld\n", b.total_seconds,
-              static_cast<long long>(b.bags),
-              static_cast<long long>(b.cluster.messages));
-  std::printf("fusion time ratio (unfused/fused): %.2fx\n", 
-              a.total_seconds / b.total_seconds);
-  std::printf("(fusion removes coordination and messages but serializes the\n"
-              "chain onto one operator instance, giving up the pipeline\n"
-              "parallelism between chained operators — a real trade-off)\n\n");
-}
-
 void ChunkSizeAblation() {
   std::printf("--- ablation: pipeline chunk granularity ---\n");
   sim::SimFileSystem inputs;
@@ -150,7 +114,6 @@ int main(int argc, char** argv) {
   mitos::bench::ParseBenchArgs(argc, argv, "micro_ablations");
   mitos::bench::DeadCodeAblation();
   mitos::bench::DiscardRuleAblation();
-  mitos::bench::FusionAblation();
   mitos::bench::ChunkSizeAblation();
   return 0;
 }

@@ -35,7 +35,6 @@ bool IsMitosEngine(EngineKind engine) {
 
 // Executor options shared by the DES and threads paths — the whole point of
 // the backend seam is that the Mitos engine configuration is identical.
-// Fusion is not among them: it is a compile option (CompileOptions).
 runtime::ExecutorOptions MitosOptions(EngineKind engine,
                                       const RunConfig& config,
                                       const sim::FaultPlan* faults) {
@@ -83,14 +82,10 @@ void RecordRunSummary(const RunConfig& config, EngineKind engine,
   }
 }
 
-// The plan a run of `engine` executes; the baselines run unfused whatever
-// the config says.
-runtime::PlanOptions CompileOptions(EngineKind engine,
-                                    const RunConfig& config) {
+// The plan every RunsFromPlan engine executes.
+runtime::PlanOptions CompileOptions(const RunConfig& config) {
   runtime::PlanOptions options;
   options.machines = config.machines;
-  options.operator_fusion =
-      IsMitosEngine(engine) && config.mitos_operator_fusion;
   return options;
 }
 
@@ -262,8 +257,7 @@ bool RunsFromPlan(EngineKind engine) {
 
 StatusOr<runtime::Plan> Compile(const lang::Program& program,
                                 const RunConfig& config) {
-  return runtime::CompilePlan(program,
-                              CompileOptions(EngineKind::kMitos, config));
+  return runtime::CompilePlan(program, CompileOptions(config));
 }
 
 StatusOr<RunResult> Execute(EngineKind engine, const runtime::Plan& plan,
@@ -312,7 +306,7 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
     MITOS_RETURN_IF_ERROR(baselines::CheckNativeIterationExpressible(program));
   }
   StatusOr<runtime::Plan> plan =
-      runtime::CompilePlan(program, CompileOptions(engine, config));
+      runtime::CompilePlan(program, CompileOptions(config));
   if (!plan.ok()) return plan.status();
   return ExecuteChecked(engine, *plan, fs, config);
 }
@@ -337,8 +331,13 @@ StatusOr<RunResult> Engine::Profiled(StatusOr<RunResult> result) {
 
 StatusOr<obs::analysis::ExplainPlan> Engine::Explain(
     const lang::Program& program) const {
+  if (!RunsFromPlan(kind_)) {
+    return Status::InvalidArgument(
+        std::string(EngineKindName(kind_)) +
+        " does not run one dataflow plan, so there is none to explain");
+  }
   obs::analysis::ExplainOptions options;
-  options.plan = CompileOptions(kind_, config_);
+  options.plan = CompileOptions(config_);
   if (has_profile_) options.operator_cpu = last_operator_cpu_;
   return obs::analysis::BuildExplain(program, options);
 }

@@ -85,7 +85,7 @@ struct RunConfig {
   // Strict Flink expressiveness checking: api::Run rejects a kFlink program
   // that fails baselines::CheckNativeIterationExpressible.
   bool flink_strict = false;
-  // Elementwise operator fusion for the Mitos engines (ir/fusion.h).
+  // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:208.
   bool mitos_operator_fusion = false;
   // Ignored; kept only for bench/ledger/mitos_bench_traced.cc:209.
   bool step_templates = true;
@@ -137,9 +137,8 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
                         sim::SimFileSystem* fs, const RunConfig& config = {});
 
 // Compile once, run many (runtime/plan.h). Compile runs the compile
-// pipeline once, for config.machines and config.mitos_operator_fusion;
-// Execute runs the resulting immutable plan exactly as Run would, as often
-// as needed and on either backend:
+// pipeline once, for config.machines; Execute runs the resulting immutable
+// plan exactly as Run would, as often as needed and on either backend:
 //
 //   auto plan = api::Compile(program, {.machines = 3});
 //   auto des = api::Execute(api::EngineKind::kMitos, *plan, &fs1,
@@ -148,11 +147,10 @@ StatusOr<RunResult> Run(EngineKind engine, const lang::Program& program,
 //                           {.machines = 3,
 //                            .backend = api::BackendKind::kThreads});
 //
-// The plan fixes the IR, so config.mitos_operator_fusion matters to Compile
-// only. config.machines must equal plan.machines() (InvalidArgument
-// otherwise). Execute supports the engines RunsFromPlan names; the others
-// (the reference interpreter and the per-action job launchers) and strict
-// Flink checking need the source program, so they return InvalidArgument.
+// config.machines must equal plan.machines() (InvalidArgument otherwise).
+// Execute supports the engines RunsFromPlan names; the others (the
+// reference interpreter and the per-action job launchers) and strict Flink
+// checking need the source program, so they return InvalidArgument.
 StatusOr<runtime::Plan> Compile(const lang::Program& program,
                                 const RunConfig& config = {});
 StatusOr<RunResult> Execute(EngineKind engine, const runtime::Plan& plan,
@@ -185,11 +183,11 @@ class Engine {
   StatusOr<RunResult> Execute(const runtime::Plan& plan,
                               sim::SimFileSystem* fs);
 
-  // Compile-only: exports the plan this engine would execute, compiled
-  // with the options Run uses for this kind (DCE, translation, and fusion
-  // for the Mitos engines only: the baselines always run unfused). Never
+  // Compile-only: exports the plan this engine executes, compiled with the
+  // options Run uses (the same plan for every RunsFromPlan engine). Never
   // advances virtual time. Costs are annotated when a prior Run() profiled
-  // the program.
+  // the program. The engines that never run one plan (the reference
+  // interpreter and the per-action job launchers) return InvalidArgument.
   StatusOr<obs::analysis::ExplainPlan> Explain(
       const lang::Program& program) const;
 

@@ -16,8 +16,8 @@
 // driver with Flink launch constants.
 //
 // Like every engine, it runs a Plan from runtime::CompilePlan through
-// runtime::ExecutePlan; api::Run compiles it (unfused) and applies the
-// check when RunConfig::flink_strict asks for it.
+// runtime::ExecutePlan; api::Run compiles it and applies the check when
+// RunConfig::flink_strict asks for it.
 #ifndef MITOS_BASELINES_FLINK_H_
 #define MITOS_BASELINES_FLINK_H_
 
@@ -40,7 +40,7 @@ struct FlinkOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Runs an unfused plan (runtime/plan.h) as one barriered native-iteration
+// Runs a plan (runtime/plan.h) as one barriered native-iteration
 // job on `backend`. Programs outside the native-iteration fragment run
 // anyway — this mirrors the paper's own evaluation, which reports "Flink"
 // numbers for Visit Count despite the restrictions, and keeps the

@@ -3,8 +3,8 @@
 // per-operator cost annotations back-filled from a profiled run.
 //
 // The plan comes from runtime::CompilePlan, the one compile pipeline
-// (Verify → dead-code elimination → optional fusion → Translate), so the
-// plan shown is the plan the Mitos engines execute. Costs come from
+// (Verify → dead-code elimination → Translate), so the plan shown is the
+// plan every engine that runs from a plan executes. Costs come from
 // RunStats::operator_cpu (busy-CPU seconds per operator); EXPLAIN without
 // a profile shows the plan with static annotations only.
 //
@@ -25,7 +25,7 @@ namespace mitos::obs::analysis {
 
 struct ExplainOptions {
   // The compile options of the plan to explain: machine count (the
-  // instance count of data-parallel operators), DCE and fusion. Pass the
+  // instance count of data-parallel operators) and DCE. Pass the
   // executing engine's options to explain the plan it runs.
   runtime::PlanOptions plan;
   // Busy-CPU seconds per operator name from a profiled run

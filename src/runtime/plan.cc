@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ir/dce.h"
-#include "ir/fusion.h"
 #include "ir/ssa.h"
 #include "ir/verify.h"
 #include "runtime/translator.h"
@@ -25,12 +24,6 @@ StatusOr<Plan> CompilePlan(const lang::Program& source,
     StatusOr<ir::DceResult> pruned = ir::EliminateDeadCode(program);
     if (!pruned.ok()) return pruned.status();
     program = std::move(pruned->program);
-    MITOS_RETURN_IF_ERROR(ir::Verify(program));
-  }
-  if (options.operator_fusion) {
-    StatusOr<ir::FusionResult> fused = ir::FuseElementwise(program);
-    if (!fused.ok()) return fused.status();
-    program = std::move(fused->program);
     MITOS_RETURN_IF_ERROR(ir::Verify(program));
   }
   StatusOr<TranslateResult> translated = Translate(program, options.machines);

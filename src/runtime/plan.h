@@ -2,7 +2,7 @@
 // pipeline (paper Sec. 4) that every execution of a program starts from.
 //
 //   TypeCheck + Preparator + SSA (ir::CompileToIr) → Verify → dead-code
-//   elimination → Verify → [elementwise fusion → Verify] → Translate
+//   elimination → Verify → Translate
 //
 // A Plan holds the optimized IR program (the control-flow side every
 // PathAuthority reads), the translated LogicalGraph with its routing table
@@ -35,11 +35,6 @@ struct PlanOptions {
   // loop Φs cost per-iteration coordination. Off = ablation
   // (bench/micro_ablations.cc).
   bool dead_code_elimination = true;
-  // Fuse same-block single-consumer elementwise chains into one operator
-  // (Flink/Spark-style chaining; ir/fusion.h). Opt-in: off by default so
-  // the dataflow graph matches the paper's one-node-per-assignment
-  // construction; the ablation bench measures its effect.
-  bool operator_fusion = false;
 };
 
 class Plan {

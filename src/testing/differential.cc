@@ -108,18 +108,16 @@ std::vector<EngineVariant> DefaultMatrix() {
   using api::BackendKind;
   using api::EngineKind;
   return {
-      // label, engine, backend, machines, fusion, columnar, twice, faults
-      {"mitos-des@3", EngineKind::kMitos, BackendKind::kDes, 3, false,
+      // label, engine, backend, machines, columnar, twice, faults
+      {"mitos-des@3", EngineKind::kMitos, BackendKind::kDes, 3,
        /*columnar=*/true, /*run_twice=*/true, /*fault_replay=*/true},
       {"mitos-des@1", EngineKind::kMitos, BackendKind::kDes, 1},
       // Boxed data plane: same engine, columnar ablation off. Catches any
       // divergence between the typed column kernels and the generic path.
-      {"mitos-des-boxed@3", EngineKind::kMitos, BackendKind::kDes, 3, false,
+      {"mitos-des-boxed@3", EngineKind::kMitos, BackendKind::kDes, 3,
        /*columnar=*/false},
       {"mitos-threads@3", EngineKind::kMitos, BackendKind::kThreads, 3,
-       false, /*columnar=*/true, /*run_twice=*/true},
-      {"mitos-fusion@3", EngineKind::kMitos, BackendKind::kDes, 3,
-       /*fusion=*/true},
+       /*columnar=*/true, /*run_twice=*/true},
       {"mitos-nopipe@3", EngineKind::kMitosNoPipelining, BackendKind::kDes,
        3},
       {"flink@3", EngineKind::kFlink, BackendKind::kDes, 3},
@@ -185,23 +183,20 @@ DiffReport RunDifferential(const lang::Program& program,
     return report;
   }
 
-  // Compile once per distinct (machines, fusion): every run of a variant
-  // that executes from a plan — rerun and fault replays included — shares
-  // it. The baselines run unfused (api::Run), so their key drops fusion.
-  std::map<std::pair<int, bool>, StatusOr<runtime::Plan>> plans;
+  // Compile once per machine count: every run of a variant that executes
+  // from a plan — rerun and fault replays included — shares it.
+  std::map<int, StatusOr<runtime::Plan>> plans;
   auto run = [&](const EngineVariant& variant, const api::RunConfig& config,
                  sim::SimFileSystem* fs) -> StatusOr<api::RunResult> {
     if (!api::RunsFromPlan(variant.engine)) {
       return api::Run(variant.engine, program, fs, config);
     }
-    const std::pair<int, bool> key(
-        variant.machines, IsMitosEngine(variant.engine) && variant.fusion);
-    auto it = plans.find(key);
+    auto it = plans.find(variant.machines);
     if (it == plans.end()) {
-      api::RunConfig compile_config;
-      compile_config.machines = key.first;
-      compile_config.mitos_operator_fusion = key.second;
-      it = plans.emplace(key, api::Compile(program, compile_config)).first;
+      it = plans
+               .emplace(variant.machines,
+                        api::Compile(program, {.machines = variant.machines}))
+               .first;
     }
     if (!it->second.ok()) return it->second.status();
     return api::Execute(variant.engine, *it->second, fs, config);
@@ -211,7 +206,6 @@ DiffReport RunDifferential(const lang::Program& program,
     api::RunConfig config;
     config.machines = variant.machines;
     config.backend = variant.backend;
-    config.mitos_operator_fusion = variant.fusion;
     config.columnar = variant.columnar;
 
     sim::SimFileSystem fs;

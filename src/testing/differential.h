@@ -14,10 +14,10 @@
 //     per sim::FaultPlan in DiffOptions::fault_plans, and recovery must be
 //     byte-identical to the variant's own fault-free run.
 //
-// The program is compiled once per distinct (machines, fusion) pair
-// (api::Compile); every variant that runs from a plan executes that shared
-// immutable plan, reruns and fault replays included. The reference and the
-// Spark-style baseline still start from the source program.
+// The program is compiled once per distinct machine count (api::Compile);
+// every variant that runs from a plan executes that shared immutable plan,
+// reruns and fault replays included. The reference and the Spark-style
+// baseline still start from the source program.
 //
 // Verdicts separate "found a bug" from "job broke": a variant that errors
 // or diverges where the reference succeeded is a kMismatch (the fuzzer's
@@ -43,7 +43,6 @@ struct EngineVariant {
   api::EngineKind engine = api::EngineKind::kMitos;
   api::BackendKind backend = api::BackendKind::kDes;
   int machines = 3;
-  bool fusion = false;
   // Columnar batched data plane (the default); false runs the boxed
   // DatumVector fallback end to end — the two must be element-identical.
   bool columnar = true;
@@ -56,7 +55,7 @@ struct EngineVariant {
 
 // The default cross-check matrix (see the header comment). Labels:
 //   mitos-des@3, mitos-des@1, mitos-des-boxed@3, mitos-threads@3,
-//   mitos-fusion@3, mitos-nopipe@3, flink@3, spark@3
+//   mitos-nopipe@3, flink@3, spark@3
 std::vector<EngineVariant> DefaultMatrix();
 
 // `filter` is a comma-separated list of label substrings (mitos_fuzz

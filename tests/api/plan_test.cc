@@ -167,20 +167,17 @@ TEST_F(PlanTest, CompileIsDeterministic) {
     testing::GeneratorOptions options;
     options.seed = testing::CaseSeed(1, i);
     const testing::GeneratedCase generated = testing::GenerateCase(options);
-    for (bool fusion : {false, true}) {
-      RunConfig config{.machines = kMachines};
-      config.mitos_operator_fusion = fusion;
-      StatusOr<runtime::Plan> first = Compile(generated.program, config);
-      StatusOr<runtime::Plan> second = Compile(generated.program, config);
-      ASSERT_EQ(first.ok(), second.ok()) << generated.source;
-      if (!first.ok()) continue;
-      EXPECT_EQ(ir::ToString(first->program()),
-                ir::ToString(second->program()))
-          << generated.source;
-      EXPECT_EQ(dataflow::ToString(first->graph()),
-                dataflow::ToString(second->graph()))
-          << generated.source;
-    }
+    const RunConfig config{.machines = kMachines};
+    StatusOr<runtime::Plan> first = Compile(generated.program, config);
+    StatusOr<runtime::Plan> second = Compile(generated.program, config);
+    ASSERT_EQ(first.ok(), second.ok()) << generated.source;
+    if (!first.ok()) continue;
+    EXPECT_EQ(ir::ToString(first->program()),
+              ir::ToString(second->program()))
+        << generated.source;
+    EXPECT_EQ(dataflow::ToString(first->graph()),
+              dataflow::ToString(second->graph()))
+        << generated.source;
   }
 }
 

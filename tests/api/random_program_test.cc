@@ -293,13 +293,11 @@ TEST_P(RandomProgramTest, AllEnginesMatchReference) {
   struct Variant {
     EngineKind engine;
     int machines;
-    bool fusion = false;
   };
   std::vector<Variant> variants = {
       {EngineKind::kMitos, 1},
       {EngineKind::kMitos, 3},
       {EngineKind::kMitos, 7},
-      {EngineKind::kMitos, 3, /*fusion=*/true},
       {EngineKind::kMitosNoPipelining, 3},
       {EngineKind::kMitosNoHoisting, 3},
       {EngineKind::kFlink, 3},
@@ -308,8 +306,7 @@ TEST_P(RandomProgramTest, AllEnginesMatchReference) {
   for (const Variant& v : variants) {
     sim::SimFileSystem fs;
     auto result = ::mitos::api::Run(
-        v.engine, program, &fs,
-        {.machines = v.machines, .mitos_operator_fusion = v.fusion});
+        v.engine, program, &fs, {.machines = v.machines});
     ASSERT_TRUE(result.ok())
         << "seed " << seed << " " << EngineKindName(v.engine) << "@"
         << v.machines << ": " << result.status().ToString() << "\n"

@@ -74,47 +74,63 @@ TEST(ExplainTest, EngineBackfillsProfiledCosts) {
 }
 
 TEST(ExplainTest, MirrorsEnginePipelineOptions) {
-  // A map chain: fusable, so the explained plan must shrink when the
-  // engine would fuse (EXPLAIN shows the plan the engine executes).
+  // A dead map next to the observed one: the explained plan must shrink
+  // when dead-code elimination is on (EXPLAIN shows the plan that runs).
   lang::ProgramBuilder pb;
   pb.Assign("b", lang::BagLit({Datum::Int64(1), Datum::Int64(2)}));
-  pb.Assign("r", lang::Map(lang::Map(lang::Map(lang::Var("b"),
-                                               lang::fns::AddInt64(1)),
-                                     lang::fns::AddInt64(2)),
-                           lang::fns::AddInt64(3)));
+  pb.Assign("dead", lang::Map(lang::Var("b"), lang::fns::AddInt64(1)));
+  pb.Assign("r", lang::Map(lang::Var("b"), lang::fns::AddInt64(2)));
   pb.WriteFile(lang::Var("r"), lang::LitString("out"));
   lang::Program program = pb.Build();
 
-  auto plain = BuildExplain(program, {.plan = {.machines = 4}});
-  auto fused = BuildExplain(
-      program, {.plan = {.machines = 4, .operator_fusion = true}});
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(fused.ok());
-  EXPECT_LT(fused->graph.nodes.size(), plain->graph.nodes.size());
+  auto pruned = BuildExplain(program, {.plan = {.machines = 4}});
+  auto unpruned = BuildExplain(
+      program, {.plan = {.machines = 4, .dead_code_elimination = false}});
+  ASSERT_TRUE(pruned.ok());
+  ASSERT_TRUE(unpruned.ok());
+  EXPECT_LT(pruned->graph.nodes.size(), unpruned->graph.nodes.size());
 }
 
-TEST(ExplainTest, BaselineEnginesExplainTheUnfusedPlanTheyRun) {
-  // Fusion is a Mitos-only compile option: a baseline engine configured
-  // with it still executes, and so must explain, the unfused plan.
+lang::Program TwoMapProgram() {
   lang::ProgramBuilder pb;
   pb.Assign("b", lang::BagLit({Datum::Int64(1), Datum::Int64(2)}));
   pb.Assign("r", lang::Map(lang::Map(lang::Var("b"), lang::fns::AddInt64(1)),
                            lang::fns::AddInt64(2)));
   pb.WriteFile(lang::Var("r"), lang::LitString("out"));
-  lang::Program program = pb.Build();
-  const api::RunConfig fusing = {.machines = 4, .mitos_operator_fusion = true};
+  return pb.Build();
+}
 
-  auto unfused = BuildExplain(program, {.plan = {.machines = 4}});
-  ASSERT_TRUE(unfused.ok());
-  for (api::EngineKind kind : {api::EngineKind::kFlink, api::EngineKind::kNaiad,
-                               api::EngineKind::kTensorFlow}) {
-    auto explained = api::Engine(kind, fusing).Explain(program);
+TEST(ExplainTest, PlanEnginesExplainTheOnePlanTheyRun) {
+  // Every engine that runs from a plan runs the same one: api::Compile's.
+  const lang::Program program = TwoMapProgram();
+  auto plan = BuildExplain(program, {.plan = {.machines = 4}});
+  ASSERT_TRUE(plan.ok());
+  for (api::EngineKind kind :
+       {api::EngineKind::kMitos, api::EngineKind::kMitosNoPipelining,
+        api::EngineKind::kMitosNoHoisting, api::EngineKind::kFlink,
+        api::EngineKind::kNaiad, api::EngineKind::kTensorFlow}) {
+    ASSERT_TRUE(api::RunsFromPlan(kind)) << api::EngineKindName(kind);
+    auto explained = api::Engine(kind, {.machines = 4}).Explain(program);
     ASSERT_TRUE(explained.ok()) << explained.status().ToString();
-    EXPECT_EQ(explained->ssa, unfused->ssa) << api::EngineKindName(kind);
+    EXPECT_EQ(explained->ssa, plan->ssa) << api::EngineKindName(kind);
   }
-  auto mitos = api::Engine(api::EngineKind::kMitos, fusing).Explain(program);
-  ASSERT_TRUE(mitos.ok());
-  EXPECT_NE(mitos->ssa, unfused->ssa);
+}
+
+TEST(ExplainTest, EnginesWithoutOnePlanAreRejected) {
+  // The reference interpreter runs no dataflow job and the per-action
+  // launchers run one job per action: no single plan to explain.
+  const lang::Program program = TwoMapProgram();
+  for (api::EngineKind kind :
+       {api::EngineKind::kReference, api::EngineKind::kFlinkSeparateJobs,
+        api::EngineKind::kSpark}) {
+    ASSERT_FALSE(api::RunsFromPlan(kind)) << api::EngineKindName(kind);
+    auto explained = api::Engine(kind, {.machines = 4}).Explain(program);
+    ASSERT_FALSE(explained.ok()) << api::EngineKindName(kind);
+    EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(explained.status().message().find(api::EngineKindName(kind)),
+              std::string::npos)
+        << explained.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Compile once, then run: runs a program as one Mitos job on a fresh DES
 // cluster through runtime::CompilePlan and runtime::ExecutePlan over a
 // DesBackend, the path every engine takes, without the api layer's engine
-// selection. Shared by the runtime, fusion and error-path suites.
+// selection. Shared by the executor, memory and error-path suites.
 #ifndef MITOS_TESTS_RUNTIME_RUN_ON_DES_H_
 #define MITOS_TESTS_RUNTIME_RUN_ON_DES_H_
 

@@ -20,6 +20,16 @@ lang::Program MustParse(const std::string& source) {
 }
 
 TEST(DifferentialTest, GeneratedProgramsAgreeAcrossTheMatrix) {
+  // Runs per case, from the matrix itself: the reference, one run per
+  // variant, a rerun per run_twice variant, and one replay per fault plan
+  // per fault_replay variant.
+  int reruns = 0;
+  int fault_replayers = 0;
+  for (const EngineVariant& v : DefaultMatrix()) {
+    reruns += v.run_twice ? 1 : 0;
+    fault_replayers += v.fault_replay ? 1 : 0;
+  }
+  const int variants = static_cast<int>(DefaultMatrix().size());
   GeneratorOptions gen_options;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     gen_options.seed = seed;
@@ -30,8 +40,9 @@ TEST(DifferentialTest, GeneratedProgramsAgreeAcrossTheMatrix) {
     EXPECT_EQ(report.verdict, Verdict::kOk)
         << "seed " << seed << ": " << report.ToString() << "\n"
         << generated.source;
-    // Reference + 8 variants + 2 reruns + fault replays.
-    EXPECT_GT(report.runs, 9);
+    const int fault_plans = static_cast<int>(generated.fault_plans.size());
+    EXPECT_EQ(report.runs,
+              1 + variants + reruns + fault_replayers * fault_plans);
   }
 }
 

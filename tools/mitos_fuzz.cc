@@ -21,8 +21,8 @@
 //   --budget=N          statement budget per program (default 14)
 //   --engines=a,b       label-substring filter over the matrix (labels:
 //                       mitos-des@3 mitos-des@1 mitos-des-boxed@3
-//                       mitos-threads@3 mitos-fusion@3 mitos-nopipe@3
-//                       flink@3 spark@3)
+//                       mitos-threads@3 mitos-nopipe@3 flink@3 spark@3);
+//                       a piece that matches no label is an infra error
 //   --faults-per-program=N  fault plans replayed per program (default 2)
 //   --shrink / --no-shrink  minimize findings (default on)
 //   --max-evals=N       shrink evaluation budget (default 300)
@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every piece must match: a stale label would otherwise silently shrink
+  // the matrix to the pieces that still do.
+  std::stringstream pieces(engines_filter);
+  for (std::string piece; std::getline(pieces, piece, ',');) {
+    if (!piece.empty() &&
+        testing::FilterMatrix(testing::DefaultMatrix(), piece).empty()) {
+      return Infra("--engines piece '" + piece +
+                   "' matches no engine variant");
+    }
+  }
   testing::DiffOptions diff_options;
   diff_options.variants =
       testing::FilterMatrix(testing::DefaultMatrix(), engines_filter);

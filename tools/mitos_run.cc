@@ -23,7 +23,9 @@
 //   --explain[=dot|json]  plan EXPLAIN: print the AST → SSA → dataflow
 //                       plan (Graphviz DOT by default, or one JSON object)
 //                       with per-operator cost annotations back-filled from
-//                       the profiled run (api::Engine::Explain)
+//                       the profiled run (api::Engine::Explain); engines
+//                       that never run one plan (reference, flink-jobs,
+//                       spark) are rejected before the run
 //   --report            print the post-run performance diagnosis: critical
 //                       path with per-step compute/comms/barrier/broadcast
 //                       breakdown, plus skew & straggler attribution
@@ -324,6 +326,10 @@ int main(int argc, char** argv) {
   if (!check_against.empty() &&
       !ParseEngineName(check_against, &check_engine)) {
     return Fail("unknown --check-against engine: " + check_against);
+  }
+  if (!explain_format.empty() && !api::RunsFromPlan(engine)) {
+    return Fail("--explain needs an engine that runs one dataflow plan; " +
+                engine_name + " does not");
   }
 
   obs::TraceRecorder trace;
